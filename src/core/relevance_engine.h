@@ -71,8 +71,8 @@ struct RelevanceEngineOptions {
   /// Serve every filtered rank the engine computes (mimic ranks, conversion
   /// set sampling) through the certified int8 shortlist. Byte-identical to
   /// the exact sweep (RankingOptions::quantized_shortlist), so relevances
-  /// and explanations are unchanged; defaults to the process-wide setting.
-  bool quantized_shortlist = DefaultQuantizedShortlist();
+  /// and explanations are unchanged.
+  bool quantized_shortlist = false;
 };
 
 /// The Relevance Engine (Section 4.2) estimates the effect that adding or

@@ -21,10 +21,8 @@ struct EvalOptions {
   /// completion order). 1 = sequential.
   size_t num_threads = 1;
   /// Serve each rank through the certified int8 shortlist (byte-identical
-  /// results; see RankingOptions::quantized_shortlist). Defaults to the
-  /// process-wide setting so CLI-constructed options pick up
-  /// --quant-shortlist automatically.
-  bool quantized_shortlist = DefaultQuantizedShortlist();
+  /// results; see RankingOptions::quantized_shortlist).
+  bool quantized_shortlist = false;
 };
 
 /// Result of evaluating a model over a set of facts.

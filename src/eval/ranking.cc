@@ -1,6 +1,5 @@
 #include "eval/ranking.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -25,8 +24,6 @@ std::span<float> ScoreScratch(size_t n) {
   scratch.resize(n);
   return scratch;
 }
-
-std::atomic<bool> g_default_quantized_shortlist{false};
 
 struct QuantMetrics {
   metrics::Counter& sweeps;
@@ -183,14 +180,6 @@ std::optional<int> QuantRank(const LinkPredictionModel& model,
 
 }  // namespace
 
-void SetDefaultQuantizedShortlist(bool on) {
-  g_default_quantized_shortlist.store(on, std::memory_order_relaxed);
-}
-
-bool DefaultQuantizedShortlist() {
-  return g_default_quantized_shortlist.load(std::memory_order_relaxed);
-}
-
 int RankFromScores(std::span<const float> scores, EntityId target,
                    const std::unordered_set<EntityId>* filtered_out) {
   KELPIE_CHECK(target >= 0 && static_cast<size_t>(target) < scores.size());
@@ -227,12 +216,6 @@ int FilteredTailRank(const LinkPredictionModel& model, const Dataset& dataset,
   return RankFromScores(scores, fact.tail, filtered);
 }
 
-int FilteredTailRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact) {
-  return FilteredTailRank(model, dataset, fact,
-                          RankingOptions{DefaultQuantizedShortlist()});
-}
-
 int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
                      const Triple& fact, const RankingOptions& options) {
   QuantMetrics qm = ResolveQuantMetrics();
@@ -250,12 +233,6 @@ int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
   std::span<float> scores = ScoreScratch(model.num_entities());
   model.ScoreAllHeads(fact.relation, fact.tail, scores);
   return RankFromScores(scores, fact.head, filtered);
-}
-
-int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact) {
-  return FilteredHeadRank(model, dataset, fact,
-                          RankingOptions{DefaultQuantizedShortlist()});
 }
 
 int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,
@@ -278,15 +255,6 @@ int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,
   return RankFromScores(scores, target_tail, filtered);
 }
 
-int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,
-                                const Dataset& dataset, EntityId head_entity,
-                                std::span<const float> head_vec,
-                                RelationId relation, EntityId target_tail) {
-  return FilteredTailRankWithHeadVec(
-      model, dataset, head_entity, head_vec, relation, target_tail,
-      RankingOptions{DefaultQuantizedShortlist()});
-}
-
 int FilteredHeadRankWithTailVec(const LinkPredictionModel& model,
                                 const Dataset& dataset, EntityId tail_entity,
                                 std::span<const float> tail_vec,
@@ -307,27 +275,12 @@ int FilteredHeadRankWithTailVec(const LinkPredictionModel& model,
   return RankFromScores(scores, target_head, filtered);
 }
 
-int FilteredHeadRankWithTailVec(const LinkPredictionModel& model,
-                                const Dataset& dataset, EntityId tail_entity,
-                                std::span<const float> tail_vec,
-                                RelationId relation, EntityId target_head) {
-  return FilteredHeadRankWithTailVec(
-      model, dataset, tail_entity, tail_vec, relation, target_head,
-      RankingOptions{DefaultQuantizedShortlist()});
-}
-
 int FilteredRank(const LinkPredictionModel& model, const Dataset& dataset,
                  const Triple& fact, PredictionTarget target,
                  const RankingOptions& options) {
   return target == PredictionTarget::kTail
              ? FilteredTailRank(model, dataset, fact, options)
              : FilteredHeadRank(model, dataset, fact, options);
-}
-
-int FilteredRank(const LinkPredictionModel& model, const Dataset& dataset,
-                 const Triple& fact, PredictionTarget target) {
-  return FilteredRank(model, dataset, fact, target,
-                      RankingOptions{DefaultQuantizedShortlist()});
 }
 
 }  // namespace kelpie

@@ -28,25 +28,14 @@ struct RankingOptions {
   bool quantized_shortlist = false;
 };
 
-/// Process-wide default consulted by the option-less overloads below.
-/// Set once at startup (kelpie_cli's --quant-shortlist); because the
-/// quantized path is byte-identical, flipping it never changes results,
-/// only speed.
-void SetDefaultQuantizedShortlist(bool on);
-bool DefaultQuantizedShortlist();
-
 /// Filtered tail rank of `fact` under `model`: the rank of fact.tail among
 /// all candidate tails of <fact.head, fact.relation, ?>.
 int FilteredTailRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact);
-int FilteredTailRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact, const RankingOptions& options);
+                     const Triple& fact, const RankingOptions& options = {});
 
 /// Filtered head rank of `fact`.
 int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact);
-int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
-                     const Triple& fact, const RankingOptions& options);
+                     const Triple& fact, const RankingOptions& options = {});
 
 /// Filtered tail rank where the head embedding is `head_vec` standing in
 /// for entity `head_entity` (mimic evaluation). Filtering still uses the
@@ -54,31 +43,21 @@ int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
 int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,
                                 const Dataset& dataset, EntityId head_entity,
                                 std::span<const float> head_vec,
-                                RelationId relation, EntityId target_tail);
-int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,
-                                const Dataset& dataset, EntityId head_entity,
-                                std::span<const float> head_vec,
                                 RelationId relation, EntityId target_tail,
-                                const RankingOptions& options);
+                                const RankingOptions& options = {});
 
 /// Filtered head rank with an override tail vector (mimic evaluation).
 int FilteredHeadRankWithTailVec(const LinkPredictionModel& model,
                                 const Dataset& dataset, EntityId tail_entity,
                                 std::span<const float> tail_vec,
-                                RelationId relation, EntityId target_head);
-int FilteredHeadRankWithTailVec(const LinkPredictionModel& model,
-                                const Dataset& dataset, EntityId tail_entity,
-                                std::span<const float> tail_vec,
                                 RelationId relation, EntityId target_head,
-                                const RankingOptions& options);
+                                const RankingOptions& options = {});
 
 /// The rank on the predicted side of `fact`: tail rank when `target` is
 /// kTail, head rank otherwise.
 int FilteredRank(const LinkPredictionModel& model, const Dataset& dataset,
-                 const Triple& fact, PredictionTarget target);
-int FilteredRank(const LinkPredictionModel& model, const Dataset& dataset,
                  const Triple& fact, PredictionTarget target,
-                 const RankingOptions& options);
+                 const RankingOptions& options = {});
 
 }  // namespace kelpie
 

@@ -12,98 +12,11 @@
 
 namespace kelpie {
 
-namespace {
-
-/// Per-thread scratch for the relation-composed query vector so the
-/// scoring paths do not allocate per call.
-std::span<float> QueryScratch(size_t dim) {
-  thread_local std::vector<float> scratch;
-  scratch.resize(dim);
-  return scratch;
-}
-
-}  // namespace
-
 BilinearModel::BilinearModel(size_t num_entities, size_t num_relations,
                              TrainConfig config)
-    : LinkPredictionModel(std::move(config)),
-      entity_embeddings_(num_entities, config_.dim),
+    : EmbeddingModel(num_entities, std::move(config),
+                     CandidateSweep::Kernel::kDot),
       relation_embeddings_(num_relations, config_.dim) {}
-
-float BilinearModel::Score(const Triple& t) const {
-  std::span<float> q = QueryScratch(entity_dim());
-  TailQuery(entity_embeddings_.Row(static_cast<size_t>(t.head)),
-            relation_embeddings_.Row(static_cast<size_t>(t.relation)), q);
-  return Dot(q, entity_embeddings_.Row(static_cast<size_t>(t.tail)));
-}
-
-void BilinearModel::ScoreAllTails(EntityId h, RelationId r,
-                                  std::span<float> out) const {
-  ScoreAllTailsWithHeadVec(entity_embeddings_.Row(static_cast<size_t>(h)), r,
-                           out);
-}
-
-void BilinearModel::ScoreAllTailsWithHeadVec(std::span<const float> head_vec,
-                                             RelationId r,
-                                             std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
-  std::span<float> q = QueryScratch(entity_dim());
-  TailQuery(head_vec, relation_embeddings_.Row(static_cast<size_t>(r)), q);
-  simd::GemvRowMajor(entity_embeddings_.Data().data(), num_entities(),
-                     entity_dim(), q.data(), out.data());
-}
-
-void BilinearModel::ScoreAllHeads(RelationId r, EntityId t,
-                                  std::span<float> out) const {
-  ScoreAllHeadsWithTailVec(
-      r, entity_embeddings_.Row(static_cast<size_t>(t)), out);
-}
-
-void BilinearModel::ScoreAllHeadsWithTailVec(RelationId r,
-                                             std::span<const float> tail_vec,
-                                             std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
-  std::span<float> w = QueryScratch(entity_dim());
-  HeadQuery(relation_embeddings_.Row(static_cast<size_t>(r)), tail_vec, w);
-  // Dot(e, w) == Dot(w, e) term for term (float multiply is commutative),
-  // so the gemv sweep is bit-identical to the per-row Dot it replaces.
-  simd::GemvRowMajor(entity_embeddings_.Data().data(), num_entities(),
-                     entity_dim(), w.data(), out.data());
-}
-
-std::optional<CandidateSweep> BilinearModel::TailSweepWithHeadVec(
-    std::span<const float> head_vec, RelationId r) const {
-  // TailQuery() is the exact composite the gemv sweep consumes.
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kDot;
-  sweep.query.resize(entity_dim());
-  TailQuery(head_vec, relation_embeddings_.Row(static_cast<size_t>(r)),
-            sweep.query);
-  return sweep;
-}
-
-std::optional<CandidateSweep> BilinearModel::HeadSweepWithTailVec(
-    RelationId r, std::span<const float> tail_vec) const {
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kDot;
-  sweep.query.resize(entity_dim());
-  HeadQuery(relation_embeddings_.Row(static_cast<size_t>(r)), tail_vec,
-            sweep.query);
-  return sweep;
-}
-
-float BilinearModel::ScoreWithEntityVec(const Triple& t, EntityId which,
-                                        std::span<const float> vec) const {
-  std::span<const float> h =
-      (t.head == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.head));
-  std::span<const float> tl =
-      (t.tail == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.tail));
-  std::span<float> q = QueryScratch(entity_dim());
-  TailQuery(h, relation_embeddings_.Row(static_cast<size_t>(t.relation)), q);
-  return Dot(q, tl);
-}
 
 std::vector<float> BilinearModel::ScoreGradWrtHead(const Triple& t) const {
   // φ = <h, HeadQuery(r, t)> so ∂φ/∂h = HeadQuery(r, t).

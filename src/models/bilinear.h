@@ -2,9 +2,8 @@
 #define KELPIE_MODELS_BILINEAR_H_
 
 #include "math/matrix.h"
-#include "math/quant.h"
 #include "ml/optimizer.h"
-#include "models/model.h"
+#include "models/embedding_model.h"
 
 namespace kelpie {
 
@@ -13,8 +12,8 @@ namespace kelpie {
 ///
 ///   φ(h, r, t) = <TailQuery(h, r), t> = <h, HeadQuery(r, t)>
 ///
-/// ComplEx and DistMult are both of this form. The base class implements:
-///  - all scoring entry points (single, batched, with override vectors);
+/// ComplEx and DistMult are both of this form. The class implements:
+///  - the composites EmbeddingModel scores with (TailQuery, HeadQuery);
 ///  - score gradients w.r.t. entity embeddings;
 ///  - full training with the multiclass negative log-likelihood loss over
 ///    both prediction directions and N3 regularization, optimized with
@@ -23,29 +22,15 @@ namespace kelpie {
 ///    non-mimic parameter frozen.
 ///
 /// Subclasses provide the two query maps and their backward passes.
-class BilinearModel : public LinkPredictionModel {
+class BilinearModel : public EmbeddingModel {
  public:
-  size_t num_entities() const override { return entity_embeddings_.rows(); }
   size_t num_relations() const override {
     return relation_embeddings_.rows();
   }
-  size_t entity_dim() const override { return entity_embeddings_.cols(); }
 
   Status Train(const Dataset& dataset, Rng& rng,
                const TrainControl& control = {}) override;
 
-  float Score(const Triple& t) const override;
-  void ScoreAllTails(EntityId h, RelationId r,
-                     std::span<float> out) const override;
-  void ScoreAllHeads(RelationId r, EntityId t,
-                     std::span<float> out) const override;
-  void ScoreAllTailsWithHeadVec(std::span<const float> head_vec, RelationId r,
-                                std::span<float> out) const override;
-  void ScoreAllHeadsWithTailVec(RelationId r,
-                                std::span<const float> tail_vec,
-                                std::span<float> out) const override;
-  float ScoreWithEntityVec(const Triple& t, EntityId which,
-                           std::span<const float> vec) const override;
   std::vector<float> ScoreGradWrtHead(const Triple& t) const override;
   std::vector<float> ScoreGradWrtTail(const Triple& t) const override;
   using LinkPredictionModel::PostTrainMimic;
@@ -57,26 +42,18 @@ class BilinearModel : public LinkPredictionModel {
   Status SaveParameters(std::ostream& out) const override;
   Status LoadParameters(std::istream& in) override;
 
-  std::span<const float> EntityEmbedding(EntityId e) const override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-  std::span<float> MutableEntityEmbedding(EntityId e) override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-
-  std::optional<CandidateSweep> TailSweepWithHeadVec(
-      std::span<const float> head_vec, RelationId r) const override;
-  std::optional<CandidateSweep> HeadSweepWithTailVec(
-      RelationId r, std::span<const float> tail_vec) const override;
-  const Matrix* EntityTable() const override { return &entity_embeddings_; }
-  std::shared_ptr<const quant::QuantizedTable> QuantizedEntityTable()
-      const override {
-    return quant_cache_.Get(entity_embeddings_);
-  }
-
  protected:
   BilinearModel(size_t num_entities, size_t num_relations,
                 TrainConfig config);
+
+  void TailComposite(std::span<const float> head, RelationId r,
+                     std::span<float> out) const final {
+    TailQuery(head, relation_embeddings_.Row(static_cast<size_t>(r)), out);
+  }
+  void HeadComposite(RelationId r, std::span<const float> tail,
+                     std::span<float> out) const final {
+    HeadQuery(relation_embeddings_.Row(static_cast<size_t>(r)), tail, out);
+  }
 
   /// out = TailQuery(h, r); all spans have entity_dim() floats.
   virtual void TailQuery(std::span<const float> h, std::span<const float> r,
@@ -98,14 +75,11 @@ class BilinearModel : public LinkPredictionModel {
                                  std::span<float> gr,
                                  std::span<float> gt) const = 0;
 
-  Matrix entity_embeddings_;
   Matrix relation_embeddings_;
 
  private:
   /// Adds the N3 regularization gradient λ·3·|x|·x to `grad`.
   void AddN3Gradient(std::span<const float> row, std::span<float> grad) const;
-
-  quant::TableCache quant_cache_;
 };
 
 }  // namespace kelpie

@@ -43,14 +43,14 @@ void DropoutBackward(std::span<const float> mask, std::span<float> grad) {
 }  // namespace
 
 ConvE::ConvE(size_t num_entities, size_t num_relations, TrainConfig config)
-    : LinkPredictionModel(std::move(config)),
+    : EmbeddingModel(num_entities, std::move(config),
+                     CandidateSweep::Kernel::kDot),
       num_base_relations_(num_relations),
-      entity_embeddings_(num_entities, config_.dim),
       // Reciprocal-relation augmentation (the original ConvE training
       // protocol): relation r + num_relations is r's inverse, and head
       // queries <?, r, t> are answered as tail queries <t, r_inv, ?>.
-      relation_embeddings_(2 * num_relations, config_.dim),
-      entity_bias_(num_entities, 0.0f) {
+      relation_embeddings_(2 * num_relations, config_.dim) {
+  entity_bias_.assign(num_entities, 0.0f);
   KELPIE_CHECK(config_.dim % config_.reshape_height == 0);
   conv_ = Conv2d(image_h(), image_w(), config_.conv_kernel,
                  config_.conv_kernel, config_.conv_channels);
@@ -163,84 +163,14 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
   }
 }
 
-float ConvE::Score(const Triple& t) const {
+void ConvE::TailComposite(std::span<const float> head, RelationId r,
+                          std::span<float> out) const {
   // thread_local: the const scoring paths run millions of forwards per
   // extraction; reusing the cache keeps them allocation-free. ForwardMlp
   // overwrites every field it reads, so stale contents are harmless.
   thread_local ForwardCache cache;
-  ForwardMlp(entity_embeddings_.Row(static_cast<size_t>(t.head)),
-             relation_embeddings_.Row(static_cast<size_t>(t.relation)),
-             cache);
-  return Dot(cache.v, entity_embeddings_.Row(static_cast<size_t>(t.tail))) +
-         entity_bias_[static_cast<size_t>(t.tail)];
-}
-
-void ConvE::ScoreAllTails(EntityId h, RelationId r,
-                          std::span<float> out) const {
-  ScoreAllTailsWithHeadVec(entity_embeddings_.Row(static_cast<size_t>(h)), r,
-                           out);
-}
-
-void ConvE::ScoreAllTailsWithHeadVec(std::span<const float> head_vec,
-                                     RelationId r,
-                                     std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
-  thread_local ForwardCache cache;
-  ForwardMlp(head_vec, relation_embeddings_.Row(static_cast<size_t>(r)),
-             cache);
-  simd::GemvRowMajor(entity_embeddings_.Data().data(), num_entities(),
-                     entity_dim(), cache.v.data(), out.data());
-  // out[e] += 1.0f * b_e adds the bias exactly as `Dot(...) + b_e` would.
-  simd::Axpy(1.0f, entity_bias_, out);
-}
-
-void ConvE::ScoreAllHeads(RelationId r, EntityId t,
-                          std::span<float> out) const {
-  ScoreAllHeadsWithTailVec(r, entity_embeddings_.Row(static_cast<size_t>(t)),
-                           out);
-}
-
-void ConvE::ScoreAllHeadsWithTailVec(RelationId r,
-                                     std::span<const float> tail_vec,
-                                     std::span<float> out) const {
-  // Head queries use the reciprocal relation: the candidate heads are the
-  // "tails" of <t, r_inv, ?>, exactly as in training. This is also what
-  // makes head ranking as cheap as tail ranking (one convolution).
-  ScoreAllTailsWithHeadVec(tail_vec, ReciprocalOf(r), out);
-}
-
-std::optional<CandidateSweep> ConvE::TailSweepWithHeadVec(
-    std::span<const float> head_vec, RelationId r) const {
-  thread_local ForwardCache cache;
-  ForwardMlp(head_vec, relation_embeddings_.Row(static_cast<size_t>(r)),
-             cache);
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kDot;
-  sweep.query.assign(cache.v.begin(), cache.v.end());
-  sweep.bias = std::span<const float>(entity_bias_);
-  return sweep;
-}
-
-std::optional<CandidateSweep> ConvE::HeadSweepWithTailVec(
-    RelationId r, std::span<const float> tail_vec) const {
-  // Same reciprocal-relation trick as ScoreAllHeadsWithTailVec.
-  return TailSweepWithHeadVec(tail_vec, ReciprocalOf(r));
-}
-
-float ConvE::ScoreWithEntityVec(const Triple& t, EntityId which,
-                                std::span<const float> vec) const {
-  std::span<const float> h =
-      (t.head == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.head));
-  std::span<const float> tl =
-      (t.tail == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.tail));
-  thread_local ForwardCache cache;
-  ForwardMlp(h, relation_embeddings_.Row(static_cast<size_t>(t.relation)),
-             cache);
-  float bias =
-      (t.tail == which) ? 0.0f : entity_bias_[static_cast<size_t>(t.tail)];
-  return Dot(cache.v, tl) + bias;
+  ForwardMlp(head, relation_embeddings_.Row(static_cast<size_t>(r)), cache);
+  Copy(cache.v, out);
 }
 
 std::vector<float> ConvE::ScoreGradWrtHead(const Triple& t) const {

@@ -2,9 +2,8 @@
 #define KELPIE_MODELS_CONVE_H_
 
 #include "math/matrix.h"
-#include "math/quant.h"
 #include "ml/conv2d.h"
-#include "models/model.h"
+#include "models/embedding_model.h"
 
 namespace kelpie {
 
@@ -24,12 +23,11 @@ namespace kelpie {
 /// dropout + Adagrad/Adam combination (DESIGN.md §3); the head/relation
 /// image uses row-interleaved stacking so every convolution window spans
 /// both inputs.
-class ConvE final : public LinkPredictionModel {
+class ConvE final : public EmbeddingModel {
  public:
   ConvE(size_t num_entities, size_t num_relations, TrainConfig config);
 
   std::string_view Name() const override { return "ConvE"; }
-  size_t num_entities() const override { return entity_embeddings_.rows(); }
   size_t num_relations() const override { return num_base_relations_; }
 
   /// Id of the reciprocal relation r_inv used by the 1-N training protocol
@@ -37,23 +35,10 @@ class ConvE final : public LinkPredictionModel {
   RelationId ReciprocalOf(RelationId r) const {
     return r + static_cast<RelationId>(num_base_relations_);
   }
-  size_t entity_dim() const override { return entity_embeddings_.cols(); }
 
   Status Train(const Dataset& dataset, Rng& rng,
                const TrainControl& control = {}) override;
 
-  float Score(const Triple& t) const override;
-  void ScoreAllTails(EntityId h, RelationId r,
-                     std::span<float> out) const override;
-  void ScoreAllHeads(RelationId r, EntityId t,
-                     std::span<float> out) const override;
-  void ScoreAllTailsWithHeadVec(std::span<const float> head_vec, RelationId r,
-                                std::span<float> out) const override;
-  void ScoreAllHeadsWithTailVec(RelationId r,
-                                std::span<const float> tail_vec,
-                                std::span<float> out) const override;
-  float ScoreWithEntityVec(const Triple& t, EntityId which,
-                           std::span<const float> vec) const override;
   std::vector<float> ScoreGradWrtHead(const Triple& t) const override;
   std::vector<float> ScoreGradWrtTail(const Triple& t) const override;
   using LinkPredictionModel::PostTrainMimic;
@@ -65,24 +50,19 @@ class ConvE final : public LinkPredictionModel {
   Status SaveParameters(std::ostream& out) const override;
   Status LoadParameters(std::istream& in) override;
 
-  std::span<const float> EntityEmbedding(EntityId e) const override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-  std::span<float> MutableEntityEmbedding(EntityId e) override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-
   /// Per-entity output bias b_e (exposed for tests).
   const std::vector<float>& entity_bias() const { return entity_bias_; }
 
-  std::optional<CandidateSweep> TailSweepWithHeadVec(
-      std::span<const float> head_vec, RelationId r) const override;
-  std::optional<CandidateSweep> HeadSweepWithTailVec(
-      RelationId r, std::span<const float> tail_vec) const override;
-  const Matrix* EntityTable() const override { return &entity_embeddings_; }
-  std::shared_ptr<const quant::QuantizedTable> QuantizedEntityTable()
-      const override {
-    return quant_cache_.Get(entity_embeddings_);
+ protected:
+  /// The inference forward pass ReLU(FC(ReLU(Conv([h̄ ; r̄])))).
+  void TailComposite(std::span<const float> head, RelationId r,
+                     std::span<float> out) const override;
+  /// Head queries use the reciprocal relation: the candidate heads are the
+  /// "tails" of <t, r_inv, ?>, exactly as in training. This is also what
+  /// makes head ranking as cheap as tail ranking (one convolution).
+  void HeadComposite(RelationId r, std::span<const float> tail,
+                     std::span<float> out) const override {
+    TailComposite(tail, ReciprocalOf(r), out);
   }
 
  private:
@@ -127,12 +107,9 @@ class ConvE final : public LinkPredictionModel {
   size_t image_w() const { return config_.dim / config_.reshape_height; }
 
   size_t num_base_relations_ = 0;
-  Matrix entity_embeddings_;
   Matrix relation_embeddings_;
-  std::vector<float> entity_bias_;
   Conv2d conv_;
   DenseLayer fc_;
-  quant::TableCache quant_cache_;
 };
 
 }  // namespace kelpie

@@ -22,18 +22,17 @@ namespace quant {
 struct QuantizedTable;
 }  // namespace quant
 
-/// Closed-form description of an all-candidates sweep: every model's
-/// ScoreAll* path reduces to "build one composite query vector, run one
-/// entity-table kernel, apply a fixed transform". Exposing that shape lets
-/// the quantized-shortlist rank path (eval/ranking.cc) classify candidates
-/// against certified int8 bounds and re-score only the uncertain band.
-///
-/// Contract: `query` must be built with the *exact same float arithmetic*
-/// as the model's ScoreAll* composite, so that
+/// Closed-form description of an all-candidates sweep: one composite query
+/// vector, one entity-table kernel, one fixed transform. The built-in
+/// models derive from EmbeddingModel (models/embedding_model.h), whose one
+/// routine builds this descriptor and also runs every ScoreAll* sweep and
+/// point score from it, so for each entity e the per-row value
 ///   kDot:             fl(Dot(row_e, query)) [+ bias_e]
 ///   kSquaredDistance: -sqrt(fl(SquaredDistance(row_e, query)))
-/// evaluated per row through the simd kernels reproduces the sweep output
-/// for entity e bit for bit (the PR 5 per-row equivalence guarantee).
+/// evaluated through the simd kernels equals the sweep output bit for bit.
+/// The quantized-shortlist rank path (eval/ranking.cc) relies on this: it
+/// classifies candidates against certified int8 bounds and re-scores only
+/// the uncertain band per row.
 struct CandidateSweep {
   enum class Kernel { kDot, kSquaredDistance };
   Kernel kernel = Kernel::kDot;
@@ -236,7 +235,8 @@ class LinkPredictionModel {
 
   /// Closed-form sweep descriptor of ScoreAllTailsWithHeadVec (see
   /// CandidateSweep). Default: nullopt — no closed form; callers must use
-  /// the exact ScoreAll* path. All five built-in models implement it.
+  /// the exact ScoreAll* path. EmbeddingModel implements it for all five
+  /// built-in models.
   virtual std::optional<CandidateSweep> TailSweepWithHeadVec(
       std::span<const float> head_vec, RelationId r) const {
     (void)head_vec;

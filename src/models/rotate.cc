@@ -16,19 +16,11 @@ namespace {
 
 constexpr float kDistanceEpsilon = 1e-9f;
 
-/// Per-thread scratch for the h∘r composite so the scoring paths do not
-/// allocate per call.
-std::span<float> RotatedScratch(size_t dim) {
-  thread_local std::vector<float> scratch;
-  scratch.resize(dim);
-  return scratch;
-}
-
 }  // namespace
 
 RotatE::RotatE(size_t num_entities, size_t num_relations, TrainConfig config)
-    : LinkPredictionModel(std::move(config)),
-      entity_embeddings_(num_entities, config_.dim),
+    : EmbeddingModel(num_entities, std::move(config),
+                     CandidateSweep::Kernel::kSquaredDistance),
       relation_phases_(num_relations, config_.dim / 2) {
   KELPIE_CHECK(config_.dim % 2 == 0);
 }
@@ -57,88 +49,6 @@ void RotatE::RotateInverse(std::span<const float> t, RelationId r,
     out[j] = t[j] * c + t[k + j] * s;
     out[k + j] = -t[j] * s + t[k + j] * c;
   }
-}
-
-float RotatE::ScoreVecs(std::span<const float> h, RelationId r,
-                        std::span<const float> t) const {
-  std::span<float> rotated = RotatedScratch(entity_dim());
-  Rotate(h, r, rotated);
-  return -std::sqrt(simd::SquaredDistance(rotated, t));
-}
-
-float RotatE::Score(const Triple& t) const {
-  return ScoreVecs(entity_embeddings_.Row(static_cast<size_t>(t.head)),
-                   t.relation,
-                   entity_embeddings_.Row(static_cast<size_t>(t.tail)));
-}
-
-void RotatE::ScoreAllTails(EntityId h, RelationId r,
-                           std::span<float> out) const {
-  ScoreAllTailsWithHeadVec(entity_embeddings_.Row(static_cast<size_t>(h)), r,
-                           out);
-}
-
-void RotatE::ScoreAllTailsWithHeadVec(std::span<const float> head_vec,
-                                      RelationId r,
-                                      std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
-  std::span<float> rotated = RotatedScratch(entity_dim());
-  Rotate(head_vec, r, rotated);
-  simd::SquaredDistanceRows(entity_embeddings_.Data().data(), num_entities(),
-                            entity_dim(), rotated.data(), out.data());
-  for (size_t e = 0; e < num_entities(); ++e) {
-    out[e] = -std::sqrt(out[e]);
-  }
-}
-
-void RotatE::ScoreAllHeads(RelationId r, EntityId t,
-                           std::span<float> out) const {
-  ScoreAllHeadsWithTailVec(r, entity_embeddings_.Row(static_cast<size_t>(t)),
-                           out);
-}
-
-void RotatE::ScoreAllHeadsWithTailVec(RelationId r,
-                                      std::span<const float> tail_vec,
-                                      std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
-  // Rotations are isometries: ||e∘r - t|| == ||e - t∘r⁻¹||.
-  std::span<float> target = RotatedScratch(entity_dim());
-  RotateInverse(tail_vec, r, target);
-  simd::SquaredDistanceRows(entity_embeddings_.Data().data(), num_entities(),
-                            entity_dim(), target.data(), out.data());
-  for (size_t e = 0; e < num_entities(); ++e) {
-    out[e] = -std::sqrt(out[e]);
-  }
-}
-
-std::optional<CandidateSweep> RotatE::TailSweepWithHeadVec(
-    std::span<const float> head_vec, RelationId r) const {
-  // Rotate() is the exact composite ScoreAllTailsWithHeadVec builds.
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kSquaredDistance;
-  sweep.query.resize(entity_dim());
-  Rotate(head_vec, r, sweep.query);
-  return sweep;
-}
-
-std::optional<CandidateSweep> RotatE::HeadSweepWithTailVec(
-    RelationId r, std::span<const float> tail_vec) const {
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kSquaredDistance;
-  sweep.query.resize(entity_dim());
-  RotateInverse(tail_vec, r, sweep.query);
-  return sweep;
-}
-
-float RotatE::ScoreWithEntityVec(const Triple& t, EntityId which,
-                                 std::span<const float> vec) const {
-  std::span<const float> h =
-      (t.head == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.head));
-  std::span<const float> tl =
-      (t.tail == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.tail));
-  return ScoreVecs(h, t.relation, tl);
 }
 
 std::vector<float> RotatE::ScoreGradWrtHead(const Triple& t) const {

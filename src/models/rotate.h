@@ -2,8 +2,7 @@
 #define KELPIE_MODELS_ROTATE_H_
 
 #include "math/matrix.h"
-#include "math/quant.h"
-#include "models/model.h"
+#include "models/embedding_model.h"
 
 namespace kelpie {
 
@@ -22,16 +21,14 @@ namespace kelpie {
 ///
 /// Storage: entity rows are [real half | imaginary half] (entity_dim() ==
 /// 2k, TrainConfig::dim must be even); relation rows store the k phases.
-class RotatE final : public LinkPredictionModel {
+class RotatE final : public EmbeddingModel {
  public:
   RotatE(size_t num_entities, size_t num_relations, TrainConfig config);
 
   std::string_view Name() const override { return "RotatE"; }
-  size_t num_entities() const override { return entity_embeddings_.rows(); }
   size_t num_relations() const override {
     return relation_phases_.rows();
   }
-  size_t entity_dim() const override { return entity_embeddings_.cols(); }
 
   /// Complex rank k (= dim / 2).
   size_t rank() const { return entity_dim() / 2; }
@@ -39,18 +36,6 @@ class RotatE final : public LinkPredictionModel {
   Status Train(const Dataset& dataset, Rng& rng,
                const TrainControl& control = {}) override;
 
-  float Score(const Triple& t) const override;
-  void ScoreAllTails(EntityId h, RelationId r,
-                     std::span<float> out) const override;
-  void ScoreAllHeads(RelationId r, EntityId t,
-                     std::span<float> out) const override;
-  void ScoreAllTailsWithHeadVec(std::span<const float> head_vec, RelationId r,
-                                std::span<float> out) const override;
-  void ScoreAllHeadsWithTailVec(RelationId r,
-                                std::span<const float> tail_vec,
-                                std::span<float> out) const override;
-  float ScoreWithEntityVec(const Triple& t, EntityId which,
-                           std::span<const float> vec) const override;
   std::vector<float> ScoreGradWrtHead(const Triple& t) const override;
   std::vector<float> ScoreGradWrtTail(const Triple& t) const override;
   using LinkPredictionModel::PostTrainMimic;
@@ -62,21 +47,14 @@ class RotatE final : public LinkPredictionModel {
   Status SaveParameters(std::ostream& out) const override;
   Status LoadParameters(std::istream& in) override;
 
-  std::span<const float> EntityEmbedding(EntityId e) const override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
+ protected:
+  void TailComposite(std::span<const float> head, RelationId r,
+                     std::span<float> out) const override {
+    Rotate(head, r, out);
   }
-  std::span<float> MutableEntityEmbedding(EntityId e) override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-
-  std::optional<CandidateSweep> TailSweepWithHeadVec(
-      std::span<const float> head_vec, RelationId r) const override;
-  std::optional<CandidateSweep> HeadSweepWithTailVec(
-      RelationId r, std::span<const float> tail_vec) const override;
-  const Matrix* EntityTable() const override { return &entity_embeddings_; }
-  std::shared_ptr<const quant::QuantizedTable> QuantizedEntityTable()
-      const override {
-    return quant_cache_.Get(entity_embeddings_);
+  void HeadComposite(RelationId r, std::span<const float> tail,
+                     std::span<float> out) const override {
+    RotateInverse(tail, r, out);
   }
 
  private:
@@ -88,12 +66,7 @@ class RotatE final : public LinkPredictionModel {
   void RotateInverse(std::span<const float> t, RelationId r,
                      std::span<float> out) const;
 
-  float ScoreVecs(std::span<const float> h, RelationId r,
-                  std::span<const float> t) const;
-
-  Matrix entity_embeddings_;  // num_entities x 2k
-  Matrix relation_phases_;    // num_relations x k
-  quant::TableCache quant_cache_;
+  Matrix relation_phases_;  // num_relations x k; entity rows are 2k wide
 };
 
 }  // namespace kelpie

@@ -16,124 +16,29 @@ namespace {
 
 constexpr float kDistanceEpsilon = 1e-9f;
 
-/// Per-thread scratch for the h + r composite, so the scoring paths do not
-/// allocate per call (RelevanceEngine issues millions of them per
-/// extraction).
-std::span<float> TranslatedScratch(size_t dim) {
-  thread_local std::vector<float> scratch;
-  scratch.resize(dim);
-  return scratch;
-}
-
 }  // namespace
 
 TransE::TransE(size_t num_entities, size_t num_relations, TrainConfig config)
-    : LinkPredictionModel(std::move(config)),
-      entity_embeddings_(num_entities, config_.dim),
+    : EmbeddingModel(num_entities, std::move(config),
+                     CandidateSweep::Kernel::kSquaredDistance),
       relation_embeddings_(num_relations, config_.dim) {}
 
-float TransE::ScoreVecs(std::span<const float> h, std::span<const float> r,
-                        std::span<const float> t) const {
-  // Computed as ||(h + r) - t|| with the 8-lane reduction so that a single
-  // Score() is bit-identical to the same entity's slot in a ScoreAll sweep.
-  std::span<float> translated = TranslatedScratch(h.size());
-  for (size_t i = 0; i < h.size(); ++i) {
-    translated[i] = h[i] + r[i];
-  }
-  return -std::sqrt(simd::SquaredDistance(translated, t));
-}
-
-float TransE::Score(const Triple& t) const {
-  return ScoreVecs(entity_embeddings_.Row(static_cast<size_t>(t.head)),
-                   relation_embeddings_.Row(static_cast<size_t>(t.relation)),
-                   entity_embeddings_.Row(static_cast<size_t>(t.tail)));
-}
-
-void TransE::ScoreAllTails(EntityId h, RelationId r,
+void TransE::TailComposite(std::span<const float> head, RelationId r,
                            std::span<float> out) const {
-  ScoreAllTailsWithHeadVec(entity_embeddings_.Row(static_cast<size_t>(h)), r,
-                           out);
-}
-
-void TransE::ScoreAllTailsWithHeadVec(std::span<const float> head_vec,
-                                      RelationId r,
-                                      std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
   std::span<const float> rel =
       relation_embeddings_.Row(static_cast<size_t>(r));
-  std::span<float> translated = TranslatedScratch(entity_dim());
-  for (size_t i = 0; i < translated.size(); ++i) {
-    translated[i] = head_vec[i] + rel[i];
-  }
-  simd::SquaredDistanceRows(entity_embeddings_.Data().data(), num_entities(),
-                            entity_dim(), translated.data(), out.data());
-  for (size_t e = 0; e < num_entities(); ++e) {
-    out[e] = -std::sqrt(out[e]);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = head[i] + rel[i];
   }
 }
 
-void TransE::ScoreAllHeads(RelationId r, EntityId t,
+void TransE::HeadComposite(RelationId r, std::span<const float> tail,
                            std::span<float> out) const {
-  ScoreAllHeadsWithTailVec(r, entity_embeddings_.Row(static_cast<size_t>(t)),
-                           out);
-}
-
-void TransE::ScoreAllHeadsWithTailVec(RelationId r,
-                                      std::span<const float> tail_vec,
-                                      std::span<float> out) const {
-  KELPIE_DCHECK(out.size() == num_entities());
   std::span<const float> rel =
       relation_embeddings_.Row(static_cast<size_t>(r));
-  // φ(e, r, t) = -||e - (t - r)||.
-  std::span<float> target = TranslatedScratch(entity_dim());
-  for (size_t i = 0; i < target.size(); ++i) {
-    target[i] = tail_vec[i] - rel[i];
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = tail[i] - rel[i];
   }
-  simd::SquaredDistanceRows(entity_embeddings_.Data().data(), num_entities(),
-                            entity_dim(), target.data(), out.data());
-  for (size_t e = 0; e < num_entities(); ++e) {
-    out[e] = -std::sqrt(out[e]);
-  }
-}
-
-std::optional<CandidateSweep> TransE::TailSweepWithHeadVec(
-    std::span<const float> head_vec, RelationId r) const {
-  // Same composite arithmetic as ScoreAllTailsWithHeadVec, element for
-  // element, so the per-row exact re-score matches the sweep bit for bit.
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kSquaredDistance;
-  sweep.query.resize(entity_dim());
-  std::span<const float> rel =
-      relation_embeddings_.Row(static_cast<size_t>(r));
-  for (size_t i = 0; i < sweep.query.size(); ++i) {
-    sweep.query[i] = head_vec[i] + rel[i];
-  }
-  return sweep;
-}
-
-std::optional<CandidateSweep> TransE::HeadSweepWithTailVec(
-    RelationId r, std::span<const float> tail_vec) const {
-  CandidateSweep sweep;
-  sweep.kernel = CandidateSweep::Kernel::kSquaredDistance;
-  sweep.query.resize(entity_dim());
-  std::span<const float> rel =
-      relation_embeddings_.Row(static_cast<size_t>(r));
-  for (size_t i = 0; i < sweep.query.size(); ++i) {
-    sweep.query[i] = tail_vec[i] - rel[i];
-  }
-  return sweep;
-}
-
-float TransE::ScoreWithEntityVec(const Triple& t, EntityId which,
-                                 std::span<const float> vec) const {
-  std::span<const float> h =
-      (t.head == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.head));
-  std::span<const float> tl =
-      (t.tail == which) ? vec
-                        : entity_embeddings_.Row(static_cast<size_t>(t.tail));
-  return ScoreVecs(h, relation_embeddings_.Row(static_cast<size_t>(t.relation)),
-                   tl);
 }
 
 std::vector<float> TransE::ScoreGradWrtHead(const Triple& t) const {

@@ -2,8 +2,7 @@
 #define KELPIE_MODELS_TRANSE_H_
 
 #include "math/matrix.h"
-#include "math/quant.h"
-#include "models/model.h"
+#include "models/embedding_model.h"
 
 namespace kelpie {
 
@@ -13,32 +12,18 @@ namespace kelpie {
 /// Trained with pairwise ranking loss over uniformly corrupted negatives,
 /// plain SGD, and the original paper's unit-ball normalization of entity
 /// embeddings.
-class TransE final : public LinkPredictionModel {
+class TransE final : public EmbeddingModel {
  public:
   TransE(size_t num_entities, size_t num_relations, TrainConfig config);
 
   std::string_view Name() const override { return "TransE"; }
-  size_t num_entities() const override { return entity_embeddings_.rows(); }
   size_t num_relations() const override {
     return relation_embeddings_.rows();
   }
-  size_t entity_dim() const override { return entity_embeddings_.cols(); }
 
   Status Train(const Dataset& dataset, Rng& rng,
                const TrainControl& control = {}) override;
 
-  float Score(const Triple& t) const override;
-  void ScoreAllTails(EntityId h, RelationId r,
-                     std::span<float> out) const override;
-  void ScoreAllHeads(RelationId r, EntityId t,
-                     std::span<float> out) const override;
-  void ScoreAllTailsWithHeadVec(std::span<const float> head_vec, RelationId r,
-                                std::span<float> out) const override;
-  void ScoreAllHeadsWithTailVec(RelationId r,
-                                std::span<const float> tail_vec,
-                                std::span<float> out) const override;
-  float ScoreWithEntityVec(const Triple& t, EntityId which,
-                           std::span<const float> vec) const override;
   std::vector<float> ScoreGradWrtHead(const Triple& t) const override;
   std::vector<float> ScoreGradWrtTail(const Triple& t) const override;
   using LinkPredictionModel::PostTrainMimic;
@@ -50,30 +35,16 @@ class TransE final : public LinkPredictionModel {
   Status SaveParameters(std::ostream& out) const override;
   Status LoadParameters(std::istream& in) override;
 
-  std::span<const float> EntityEmbedding(EntityId e) const override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-  std::span<float> MutableEntityEmbedding(EntityId e) override {
-    return entity_embeddings_.Row(static_cast<size_t>(e));
-  }
-
-  std::optional<CandidateSweep> TailSweepWithHeadVec(
-      std::span<const float> head_vec, RelationId r) const override;
-  std::optional<CandidateSweep> HeadSweepWithTailVec(
-      RelationId r, std::span<const float> tail_vec) const override;
-  const Matrix* EntityTable() const override { return &entity_embeddings_; }
-  std::shared_ptr<const quant::QuantizedTable> QuantizedEntityTable()
-      const override {
-    return quant_cache_.Get(entity_embeddings_);
-  }
+ protected:
+  /// h + r; candidate tails are scored by their distance to it.
+  void TailComposite(std::span<const float> head, RelationId r,
+                     std::span<float> out) const override;
+  /// t - r, since φ(e, r, t) = -||e - (t - r)||.
+  void HeadComposite(RelationId r, std::span<const float> tail,
+                     std::span<float> out) const override;
 
  private:
-  float ScoreVecs(std::span<const float> h, std::span<const float> r,
-                  std::span<const float> t) const;
-
-  Matrix entity_embeddings_;
   Matrix relation_embeddings_;
-  quant::TableCache quant_cache_;
 };
 
 }  // namespace kelpie

@@ -1,15 +1,38 @@
 // Parameterized consistency and gradient checks that every model must pass:
 // the Kelpie Relevance Engine and both baselines rely on these contracts.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "math/simd.h"
+#include "models/conve.h"
 #include "models/factory.h"
 #include "tests/test_util.h"
 
 namespace kelpie {
 namespace {
+
+uint32_t Bits(float f) { return std::bit_cast<uint32_t>(f); }
+
+/// The descriptor's kernel applied to one row, before any bias: the value
+/// a sweep with this descriptor writes for that row when it has no bias.
+float KernelValue(const CandidateSweep& sweep, std::span<const float> row) {
+  return sweep.kernel == CandidateSweep::Kernel::kDot
+             ? simd::Dot(row, sweep.query)
+             : -std::sqrt(simd::SquaredDistance(row, sweep.query));
+}
+
+/// The full per-row value of a sweep for stored entity `e`: the kernel,
+/// then the entity's bias (dot models that have one).
+float RowValue(const CandidateSweep& sweep, std::span<const float> row,
+               EntityId e) {
+  float value = KernelValue(sweep, row);
+  if (!sweep.bias.empty()) value += sweep.bias[static_cast<size_t>(e)];
+  return value;
+}
 
 class ModelContractTest : public ::testing::TestWithParam<ModelKind> {
  protected:
@@ -17,36 +40,56 @@ class ModelContractTest : public ::testing::TestWithParam<ModelKind> {
     dataset_ = std::make_unique<Dataset>(testing_util::MakeToyDataset());
     model_ = testing_util::TrainToyModel(GetParam(), *dataset_, 17);
     probe_ = dataset_->test().front();
+    // A vector that is no stored row: a blend of the probe's two entities.
+    std::span<const float> h = model_->EntityEmbedding(probe_.head);
+    std::span<const float> t = model_->EntityEmbedding(probe_.tail);
+    blend_.resize(h.size());
+    for (size_t i = 0; i < h.size(); ++i) {
+      blend_[i] = 0.75f * h[i] + 0.25f * t[i];
+    }
+  }
+
+  EntityId num_entities() const {
+    return static_cast<EntityId>(model_->num_entities());
+  }
+  std::vector<float> Scores() const {
+    return std::vector<float>(model_->num_entities());
   }
 
   std::unique_ptr<Dataset> dataset_;
   std::unique_ptr<LinkPredictionModel> model_;
   Triple probe_;
+  std::vector<float> blend_;
 };
 
 TEST_P(ModelContractTest, ScoreAllTailsMatchesScore) {
-  std::vector<float> scores(model_->num_entities());
+  std::vector<float> scores = Scores();
   model_->ScoreAllTails(probe_.head, probe_.relation, scores);
-  for (EntityId e = 0; e < static_cast<EntityId>(model_->num_entities());
-       e += 7) {
+  for (EntityId e = 0; e < num_entities(); ++e) {
     Triple t(probe_.head, probe_.relation, e);
-    EXPECT_NEAR(scores[static_cast<size_t>(e)], model_->Score(t), 1e-4)
+    EXPECT_EQ(Bits(scores[static_cast<size_t>(e)]), Bits(model_->Score(t)))
         << "tail " << e;
   }
 }
 
 TEST_P(ModelContractTest, ScoreAllHeadsMatchesScore) {
+  std::vector<float> scores = Scores();
+  model_->ScoreAllHeads(probe_.relation, probe_.tail, scores);
   if (GetParam() == ModelKind::kConvE) {
     // ConvE ranks heads through the reciprocal query φ(t, r_inv, e), as in
-    // its training protocol, so its head scores intentionally differ from
-    // the tail-direction Score(); consistency is covered by
-    // HeadScoresMatchReciprocalQuery below.
-    GTEST_SKIP();
+    // its training protocol: its head sweep is that query's tail sweep.
+    const auto& conve = dynamic_cast<const ConvE&>(*model_);
+    const RelationId inverse = conve.ReciprocalOf(probe_.relation);
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      Triple t(probe_.tail, inverse, e);
+      EXPECT_EQ(Bits(scores[static_cast<size_t>(e)]), Bits(model_->Score(t)))
+          << "head " << e;
+    }
+    return;
   }
-  std::vector<float> scores(model_->num_entities());
-  model_->ScoreAllHeads(probe_.relation, probe_.tail, scores);
-  for (EntityId e = 0; e < static_cast<EntityId>(model_->num_entities());
-       e += 7) {
+  // The head composite applies the relation to the tail instead of the
+  // head, so it equals Score in exact arithmetic but may round differently.
+  for (EntityId e = 0; e < num_entities(); ++e) {
     Triple t(e, probe_.relation, probe_.tail);
     EXPECT_NEAR(scores[static_cast<size_t>(e)], model_->Score(t), 1e-4)
         << "head " << e;
@@ -54,36 +97,135 @@ TEST_P(ModelContractTest, ScoreAllHeadsMatchesScore) {
 }
 
 TEST_P(ModelContractTest, HeadScoresMatchOverrideWithStoredTailRow) {
-  std::vector<float> direct(model_->num_entities());
+  std::vector<float> direct = Scores();
   model_->ScoreAllHeads(probe_.relation, probe_.tail, direct);
-  std::vector<float> via_override(model_->num_entities());
+  std::vector<float> via_override = Scores();
   model_->ScoreAllHeadsWithTailVec(
       probe_.relation, model_->EntityEmbedding(probe_.tail), via_override);
   for (size_t e = 0; e < direct.size(); ++e) {
-    EXPECT_NEAR(via_override[e], direct[e], 1e-5);
+    EXPECT_EQ(Bits(via_override[e]), Bits(direct[e])) << "head " << e;
   }
 }
 
 TEST_P(ModelContractTest, OverrideWithStoredRowReproducesScores) {
   std::span<const float> row = model_->EntityEmbedding(probe_.head);
-  std::vector<float> via_override(model_->num_entities());
+  std::vector<float> via_override = Scores();
   model_->ScoreAllTailsWithHeadVec(row, probe_.relation, via_override);
-  std::vector<float> direct(model_->num_entities());
+  std::vector<float> direct = Scores();
   model_->ScoreAllTails(probe_.head, probe_.relation, direct);
   for (size_t e = 0; e < direct.size(); ++e) {
-    EXPECT_NEAR(via_override[e], direct[e], 1e-5);
+    EXPECT_EQ(Bits(via_override[e]), Bits(direct[e])) << "tail " << e;
+  }
+}
+
+TEST_P(ModelContractTest, TailSweepMatchesPerRowDescriptorValue) {
+  std::optional<CandidateSweep> sweep =
+      model_->TailSweepWithHeadVec(blend_, probe_.relation);
+  ASSERT_TRUE(sweep.has_value());
+  ASSERT_EQ(sweep->query.size(), model_->entity_dim());
+  std::vector<float> scores = Scores();
+  model_->ScoreAllTailsWithHeadVec(blend_, probe_.relation, scores);
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    EXPECT_EQ(Bits(scores[static_cast<size_t>(e)]),
+              Bits(RowValue(*sweep, model_->EntityEmbedding(e), e)))
+        << "tail " << e;
+  }
+}
+
+TEST_P(ModelContractTest, HeadSweepMatchesPerRowDescriptorValue) {
+  std::optional<CandidateSweep> sweep =
+      model_->HeadSweepWithTailVec(probe_.relation, blend_);
+  ASSERT_TRUE(sweep.has_value());
+  ASSERT_EQ(sweep->query.size(), model_->entity_dim());
+  std::vector<float> scores = Scores();
+  model_->ScoreAllHeadsWithTailVec(probe_.relation, blend_, scores);
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    EXPECT_EQ(Bits(scores[static_cast<size_t>(e)]),
+              Bits(RowValue(*sweep, model_->EntityEmbedding(e), e)))
+        << "head " << e;
   }
 }
 
 TEST_P(ModelContractTest, ScoreWithEntityVecUsesOverride) {
   std::span<const float> stored = model_->EntityEmbedding(probe_.head);
   // Stored row reproduces the plain score.
-  EXPECT_NEAR(model_->ScoreWithEntityVec(probe_, probe_.head, stored),
-              model_->Score(probe_), 1e-5);
+  EXPECT_EQ(Bits(model_->ScoreWithEntityVec(probe_, probe_.head, stored)),
+            Bits(model_->Score(probe_)));
   // A zero vector produces a different score (the models are non-trivial).
   std::vector<float> zeros(model_->entity_dim(), 0.0f);
   EXPECT_NE(model_->ScoreWithEntityVec(probe_, probe_.head, zeros),
             model_->Score(probe_));
+}
+
+TEST_P(ModelContractTest, OverriddenHeadMatchesTailSweep) {
+  const EntityId h = probe_.head;
+  std::vector<float> scores = Scores();
+  model_->ScoreAllTailsWithHeadVec(blend_, probe_.relation, scores);
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    if (e == h) continue;  // a self-loop overrides the tail too
+    Triple t(h, probe_.relation, e);
+    EXPECT_EQ(Bits(model_->ScoreWithEntityVec(t, h, blend_)),
+              Bits(scores[static_cast<size_t>(e)]))
+        << "tail " << e;
+  }
+}
+
+TEST_P(ModelContractTest, OverriddenTailGetsKernelValueWithoutBias) {
+  const EntityId t = probe_.tail;
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    if (e == t) continue;  // a self-loop overrides the head too
+    std::optional<CandidateSweep> sweep =
+        model_->TailSweepWithHeadVec(model_->EntityEmbedding(e),
+                                     probe_.relation);
+    ASSERT_TRUE(sweep.has_value());
+    float expected = KernelValue(*sweep, blend_);
+    if (!sweep->bias.empty()) expected += 0.0f;  // the override has no bias
+    Triple fact(e, probe_.relation, t);
+    EXPECT_EQ(Bits(model_->ScoreWithEntityVec(fact, t, blend_)),
+              Bits(expected))
+        << "head " << e;
+  }
+}
+
+TEST(ConvEContractTest, OverriddenTailDropsTheStoredBias) {
+  const Dataset dataset = testing_util::MakeToyDataset();
+  std::unique_ptr<LinkPredictionModel> model =
+      testing_util::TrainToyModel(ModelKind::kConvE, dataset, 17);
+  const auto& conve = dynamic_cast<const ConvE&>(*model);
+  const Triple probe = dataset.test().front();
+  std::optional<CandidateSweep> sweep = model->TailSweepWithHeadVec(
+      model->EntityEmbedding(probe.head), probe.relation);
+  ASSERT_TRUE(sweep.has_value());
+  ASSERT_EQ(sweep->bias.size(), model->num_entities());
+  std::span<const float> tail_row = model->EntityEmbedding(probe.tail);
+  const float dot = KernelValue(*sweep, tail_row);
+  const float bias = conve.entity_bias()[static_cast<size_t>(probe.tail)];
+  ASSERT_NE(bias, 0.0f) << "trained bias expected to be non-zero";
+  // The stored tail row standing in for itself loses b_t; +0.0f turns a
+  // -0.0 dot into +0.0.
+  EXPECT_EQ(Bits(model->ScoreWithEntityVec(probe, probe.tail, tail_row)),
+            Bits(dot + 0.0f));
+  EXPECT_EQ(Bits(model->Score(probe)), Bits(dot + bias));
+}
+
+TEST_P(ModelContractTest, SelfLoopOverridesBothSides) {
+  const EntityId x = probe_.head;
+  const Triple loop(x, probe_.relation, x);
+  std::optional<CandidateSweep> sweep =
+      model_->TailSweepWithHeadVec(blend_, probe_.relation);
+  ASSERT_TRUE(sweep.has_value());
+  float expected = KernelValue(*sweep, blend_);
+  if (!sweep->bias.empty()) expected += 0.0f;  // the overridden tail
+  EXPECT_EQ(Bits(model_->ScoreWithEntityVec(loop, x, blend_)), Bits(expected));
+  // With the stored row, the override only drops the bias.
+  std::span<const float> stored = model_->EntityEmbedding(x);
+  std::optional<CandidateSweep> stored_sweep =
+      model_->TailSweepWithHeadVec(stored, probe_.relation);
+  ASSERT_TRUE(stored_sweep.has_value());
+  float stored_expected = KernelValue(*stored_sweep, stored);
+  if (!stored_sweep->bias.empty()) stored_expected += 0.0f;
+  EXPECT_EQ(Bits(model_->ScoreWithEntityVec(loop, x, stored)),
+            Bits(stored_expected));
 }
 
 TEST_P(ModelContractTest, HeadGradientMatchesFiniteDifferences) {

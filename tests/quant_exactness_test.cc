@@ -422,29 +422,5 @@ TEST(QuantExactnessTest, FallbackCoversModelsWithoutSweepSupport) {
   EXPECT_EQ(reg.GetCounter("kelpie_quant_sweeps_total", {}).Value(), 0u);
 }
 
-TEST(QuantExactnessTest, GlobalDefaultDrivesOptionlessOverloads) {
-  const Dataset& dataset = ToyDataset();
-  const LinkPredictionModel& model = ToyModel(ModelKind::kTransE);
-  const Triple probe = dataset.test().front();
-  ASSERT_FALSE(DefaultQuantizedShortlist());
-  const int off_rank = FilteredTailRank(model, dataset, probe);
-  SetDefaultQuantizedShortlist(true);
-  metrics::ScopedRegistry scoped;
-  const int on_rank = FilteredTailRank(model, dataset, probe);
-  EXPECT_GT(
-      metrics::Registry::Global().GetCounter("kelpie_quant_sweeps_total", {})
-          .Value(),
-      0u);
-  SetDefaultQuantizedShortlist(false);
-  EXPECT_EQ(on_rank, off_rank);
-  // EvalOptions picks the default up at construction time.
-  SetDefaultQuantizedShortlist(true);
-  EvalOptions options;
-  EXPECT_TRUE(options.quantized_shortlist);
-  SetDefaultQuantizedShortlist(false);
-  EvalOptions options_off;
-  EXPECT_FALSE(options_off.quantized_shortlist);
-}
-
 }  // namespace
 }  // namespace kelpie

@@ -430,6 +430,7 @@ Status CmdEvaluate(const Args& args) {
   uint64_t threads = 0;
   KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
   options.num_threads = threads;
+  options.quantized_shortlist = args.Has("quant-shortlist");
   EvalResult result = EvaluateTest(**model, *dataset, options);
   std::printf("%s on %zu test facts: H@1 %.3f  H@10 %.3f  MRR %.3f\n",
               std::string((*model)->Name()).c_str(),
@@ -468,6 +469,7 @@ Status CmdExplain(const Args& args) {
   KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
   options.num_threads = threads;
   options.engine.warm_start_mimics = args.Has("warm-mimics");
+  options.engine.quantized_shortlist = args.Has("quant-shortlist");
   KELPIE_ASSIGN_OR_RETURN(
       options.engine.relevance_cache,
       OpenCacheFlag(args, **model, options.engine.seed,
@@ -579,6 +581,7 @@ Status CmdServe(const Args& args) {
   options.max_batch = max_batch;
   options.kelpie.num_threads = threads;
   options.kelpie.engine.warm_start_mimics = args.Has("warm-mimics");
+  options.kelpie.engine.quantized_shortlist = args.Has("quant-shortlist");
   if (args.Has("relevance-cache")) {
     // The pool loads its own model copies; this load exists only to compute
     // the cache fingerprint, and is dropped before the server starts.
@@ -915,6 +918,7 @@ Status CmdXp(const Args& args) {
 
   KelpieOptions options;
   options.num_threads = threads;
+  options.engine.quantized_shortlist = args.Has("quant-shortlist");
   KelpieExplainer explainer(**model, *dataset, options);
   JournalOptions journal{args.Get("journal"), args.Has("resume")};
 
@@ -1197,10 +1201,6 @@ int Run(int argc, char** argv) {
   }
   Args args(argc, argv);
   if (!args.error().empty()) return Fail(args.error());
-  // Set before any command constructs EvalOptions / engine options: their
-  // quantized_shortlist fields default from this process-wide setting.
-  // Byte-identical by design, so the flag only changes speed, never output.
-  SetDefaultQuantizedShortlist(args.Has("quant-shortlist"));
   Status status = Status::Ok();
   if (command == "generate") {
     status = CmdGenerate(args);
