@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 #include "common/failpoint.h"
 
@@ -76,6 +78,25 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   }
   SyncParentDir(path);
   return Status::Ok();
+}
+
+Result<std::string> ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  std::string contents;
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) contents.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    contents.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  if (in.bad()) {
+    return Status::IoError("read failed: " + path);
+  }
+  return contents;
 }
 
 }  // namespace kelpie

@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/result.h"
 #include "common/status.h"
 
 namespace kelpie {
@@ -21,6 +22,10 @@ namespace kelpie {
 ///       but the final rename "fails"; simulates a crash between flush and
 ///       publish.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
+
+/// Reads the whole file at `path` (binary). IoError when it cannot be
+/// opened or read.
+Result<std::string> ReadWholeFile(const std::string& path);
 
 }  // namespace kelpie
 

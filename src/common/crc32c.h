@@ -9,9 +9,9 @@ namespace kelpie {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 /// checksum storage engines use to frame on-disk records (LevelDB, Kudu,
-/// iSCSI). The model store and the experiment journal append a CRC32C
-/// trailer to every payload so truncated or bit-flipped files are rejected
-/// at load time instead of being reconstructed into corrupt state.
+/// iSCSI). common/record_file.h is the only code that checksums on-disk
+/// headers and frames with it; the other callers hash setup fingerprints
+/// and run ids.
 
 /// CRC32C of `size` bytes at `data`.
 uint32_t Crc32c(const void* data, size_t size);

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -11,20 +10,19 @@
 #include "common/atomic_file.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/record_file.h"
 
 namespace kelpie {
 
 namespace {
 
-/// File layout (host-endian, single-host cache):
-///   magic "KELPRC1\n" | u64 fingerprint | u32 crc32c(magic+fingerprint)
-/// followed by zero or more frames, least-recently-used first:
-///   u32 payload_len | u32 crc32c(payload) | payload
-/// payload = i32 entity | u32 num_facts | u32 dim
-///         | num_facts * (i32 head, i32 relation, i32 tail) | dim * f32
-constexpr char kMagic[8] = {'K', 'E', 'L', 'P', 'R', 'C', '1', '\n'};
-constexpr size_t kHeaderSize = 8 + 8 + 4;
-constexpr size_t kFrameOverhead = 8;
+/// A record file (common/record_file.h) whose header carries the model
+/// fingerprint, then one entry frame per cached mimic, least-recently-used
+/// first. Entry payload (host-endian, single-host cache):
+///   i32 entity | u32 num_facts | u32 dim
+///   | num_facts * (i32 head, i32 relation, i32 tail) | dim * f32
+constexpr record_file::Format kFormat{"KELPRC1\n", 2};
+constexpr uint8_t kEntryFrame = 1;
 constexpr size_t kPayloadFixed = 12;
 
 /// SplitMix64 finalizer (same mixing as the engine's seed derivation).
@@ -59,74 +57,41 @@ bool AllFinite(const std::vector<float>& v) {
   return true;
 }
 
-std::string SerializeHeader(uint64_t fingerprint) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendRaw(out, fingerprint);
-  AppendRaw(out, Crc32c(out.data(), out.size()));
-  return out;
-}
-
-/// Parses the header; returns false when it does not verify (the caller
-/// treats the file as empty).
-bool ParseHeader(const std::string& bytes, uint64_t* fingerprint) {
-  if (bytes.size() < kHeaderSize) return false;
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return false;
-  const uint32_t stored = ReadRaw<uint32_t>(bytes.data() + 16);
-  if (stored != Crc32c(bytes.data(), 16)) return false;
-  *fingerprint = ReadRaw<uint64_t>(bytes.data() + 8);
-  return true;
-}
-
 struct ParsedEntry {
   EntityId entity = kNoEntity;
   std::vector<Triple> facts;
   std::vector<float> mimic;
 };
 
-/// Walks the frames after the header, appending every entry that verifies
-/// to `out` and counting what was dropped. The rules are the
-/// corruption-recovery state machine of DESIGN.md §13: a frame whose
-/// length field runs past the file ends parsing (torn tail); a frame whose
-/// payload CRC or structure does not verify is skipped (the length field
-/// is still trusted for reframing — a corrupted length surfaces as a CRC
-/// failure on the next frame or as a torn tail, both of which degrade
-/// cleanly).
-void ParseFrames(const std::string& bytes, std::vector<ParsedEntry>* out,
+/// Walks the frames of a verified-header file, appending every entry that
+/// verifies to `out` and counting what was dropped. The rules are the
+/// cache's row of the DESIGN.md §17 degradation table: a torn tail ends
+/// parsing; a frame whose CRC, tag or payload structure does not verify is
+/// skipped, and parsing goes on with the next frame.
+void ParseFrames(record_file::Reader& reader, std::vector<ParsedEntry>* out,
                  uint64_t* corrupt, bool* torn) {
-  size_t off = kHeaderSize;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kFrameOverhead) {
+  record_file::Frame frame;
+  while (reader.Next(frame)) {
+    if (frame.outcome == record_file::FrameOutcome::kTornTail) {
       *torn = true;
       return;
     }
-    const uint32_t len = ReadRaw<uint32_t>(bytes.data() + off);
-    const uint32_t crc = ReadRaw<uint32_t>(bytes.data() + off + 4);
-    if (len < kPayloadFixed) {
-      // Framing itself is untrustworthy from here on; drop the remainder.
-      ++*corrupt;
-      return;
-    }
-    if (bytes.size() - off - kFrameOverhead < len) {
-      *torn = true;
-      return;
-    }
-    const char* payload = bytes.data() + off + kFrameOverhead;
-    off += kFrameOverhead + len;
-    if (Crc32c(payload, len) != crc) {
+    const std::string_view payload = frame.payload;
+    if (frame.outcome != record_file::FrameOutcome::kOk ||
+        frame.tag != kEntryFrame || payload.size() < kPayloadFixed) {
       ++*corrupt;
       continue;
     }
     ParsedEntry entry;
-    entry.entity = ReadRaw<int32_t>(payload);
-    const uint32_t num_facts = ReadRaw<uint32_t>(payload + 4);
-    const uint32_t dim = ReadRaw<uint32_t>(payload + 8);
-    if (PayloadSize(num_facts, dim) != len) {
+    entry.entity = ReadRaw<int32_t>(payload.data());
+    const uint32_t num_facts = ReadRaw<uint32_t>(payload.data() + 4);
+    const uint32_t dim = ReadRaw<uint32_t>(payload.data() + 8);
+    if (PayloadSize(num_facts, dim) != payload.size()) {
       ++*corrupt;
       continue;
     }
     entry.facts.reserve(num_facts);
-    const char* p = payload + kPayloadFixed;
+    const char* p = payload.data() + kPayloadFixed;
     for (uint32_t i = 0; i < num_facts; ++i, p += 12) {
       entry.facts.emplace_back(ReadRaw<int32_t>(p), ReadRaw<int32_t>(p + 4),
                                ReadRaw<int32_t>(p + 8));
@@ -137,9 +102,8 @@ void ParseFrames(const std::string& bytes, std::vector<ParsedEntry>* out,
   }
 }
 
-void AppendFrame(std::string& out, EntityId entity,
-                 const std::vector<Triple>& facts,
-                 const std::vector<float>& mimic) {
+std::string EntryPayload(EntityId entity, const std::vector<Triple>& facts,
+                         const std::vector<float>& mimic) {
   std::string payload;
   payload.reserve(PayloadSize(facts.size(), mimic.size()));
   AppendRaw(payload, static_cast<int32_t>(entity));
@@ -151,18 +115,7 @@ void AppendFrame(std::string& out, EntityId entity,
     AppendRaw(payload, static_cast<int32_t>(f.tail));
   }
   for (float v : mimic) AppendRaw(payload, v);
-  AppendRaw(out, static_cast<uint32_t>(payload.size()));
-  AppendRaw(out, Crc32c(payload.data(), payload.size()));
-  out += payload;
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("cannot read " + path);
-  return buffer.str();
+  return payload;
 }
 
 }  // namespace
@@ -207,7 +160,7 @@ std::shared_ptr<RelevanceCache> RelevanceCache::Open(
 size_t RelevanceCache::EntryBytes(size_t num_facts, size_t dim) {
   // The on-disk frame size plus a fixed estimate of the in-memory index
   // overhead; exactness does not matter, only a consistent bound.
-  return kFrameOverhead + PayloadSize(num_facts, dim) + 64;
+  return record_file::kFrameOverhead + PayloadSize(num_facts, dim) + 64;
 }
 
 uint64_t RelevanceCache::KeyHash(EntityId entity,
@@ -225,18 +178,18 @@ uint64_t RelevanceCache::KeyHash(EntityId entity,
 
 void RelevanceCache::LoadFromDisk() {
   if (options_.path.empty()) return;
-  Result<std::string> bytes = ReadWholeFile(options_.path);
-  if (!bytes.ok()) return;  // missing file = valid empty cache
-  if (bytes->empty()) return;
-  uint64_t stored_fingerprint = 0;
-  if (!ParseHeader(*bytes, &stored_fingerprint)) {
+  Result<record_file::Reader> reader =
+      record_file::Reader::Open(options_.path, kFormat);
+  if (!reader.ok()) return;  // missing file = valid empty cache
+  if (reader->bytes().empty()) return;
+  if (reader->header() != record_file::HeaderOutcome::kOk) {
     // Unrecognizable header: not this format (or torn inside the header).
     // Start empty; the next Flush rewrites it wholesale.
     evict_corrupt_.fetch_add(1, std::memory_order_relaxed);
     metrics_.evict_corrupt.Increment();
     return;
   }
-  if (stored_fingerprint != options_.fingerprint ||
+  if (reader->fingerprint() != options_.fingerprint ||
       failpoint::Fire("cache.stale_fingerprint")) {
     // The model (or engine seed) changed since this file was written; its
     // mimics would be wrong for the current parameters. Invalidate all.
@@ -247,7 +200,7 @@ void RelevanceCache::LoadFromDisk() {
   std::vector<ParsedEntry> entries;
   uint64_t corrupt = 0;
   bool torn = false;
-  ParseFrames(*bytes, &entries, &corrupt, &torn);
+  ParseFrames(*reader, &entries, &corrupt, &torn);
   if (corrupt > 0) {
     evict_corrupt_.fetch_add(corrupt, std::memory_order_relaxed);
     metrics_.evict_corrupt.Increment(corrupt);
@@ -394,8 +347,8 @@ Status RelevanceCache::Flush() {
     // the fingerprint does not match the next Open.
     fingerprint ^= 1;
   }
-  std::string image = SerializeHeader(fingerprint);
-  size_t last_frame_off = 0;
+  std::string image = record_file::Header(kFormat, fingerprint);
+  size_t last_payload_off = 0;
   size_t last_payload_len = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -403,22 +356,22 @@ Status RelevanceCache::Flush() {
       auto it = index_.find(key);
       if (it == index_.end() || !it->second->ready) continue;
       const Entry& entry = *it->second;
-      last_frame_off = image.size();
-      last_payload_len = PayloadSize(entry.facts.size(), entry.mimic.size());
-      AppendFrame(image, entry.entity, entry.facts, entry.mimic);
+      const std::string payload =
+          EntryPayload(entry.entity, entry.facts, entry.mimic);
+      last_payload_len = payload.size();
+      last_payload_off = record_file::AppendFrame(image, kEntryFrame, payload);
     }
   }
   if (last_payload_len > 0 && failpoint::Fire("cache.bit_flip")) {
     // One payload bit of the last (hottest) entry flips; its CRC stops
     // verifying and the next Open evicts exactly that entry.
-    image[last_frame_off + kFrameOverhead + last_payload_len / 2] ^= 0x10;
+    image[last_payload_off + last_payload_len / 2] ^= 0x10;
   }
   if (failpoint::Fire("cache.partial_write")) {
     // The image ends mid-entry, as if the writer died after the frame
     // header went out: the next Open truncates the torn tail.
     const size_t cut = last_payload_len > 0
-                           ? last_frame_off + kFrameOverhead +
-                                 last_payload_len / 2
+                           ? last_payload_off + last_payload_len / 2
                            : image.size() / 2;
     image.resize(cut);
   }
@@ -435,7 +388,8 @@ Status RelevanceCache::Purge() {
     UpdateGaugesLocked();
   }
   if (options_.path.empty()) return Status::Ok();
-  return WriteFileAtomic(options_.path, SerializeHeader(options_.fingerprint));
+  return WriteFileAtomic(options_.path,
+                         record_file::Header(kFormat, options_.fingerprint));
 }
 
 size_t RelevanceCache::PurgeEntities(const std::vector<EntityId>& entities) {
@@ -496,15 +450,17 @@ RelevanceCacheStats RelevanceCache::stats() const {
 
 Result<RelevanceCacheFileInfo> RelevanceCache::Inspect(
     const std::string& path) {
-  KELPIE_ASSIGN_OR_RETURN(const std::string bytes, ReadWholeFile(path));
+  KELPIE_ASSIGN_OR_RETURN(record_file::Reader reader,
+                          record_file::Reader::Open(path, kFormat));
   RelevanceCacheFileInfo info;
-  info.file_bytes = bytes.size();
-  if (!ParseHeader(bytes, &info.fingerprint)) {
+  info.file_bytes = reader.bytes().size();
+  if (reader.header() != record_file::HeaderOutcome::kOk) {
     return info;  // header_ok stays false: loads as empty
   }
   info.header_ok = true;
+  info.fingerprint = reader.fingerprint();
   std::vector<ParsedEntry> entries;
-  ParseFrames(bytes, &entries, &info.corrupt_entries, &info.torn_tail);
+  ParseFrames(reader, &entries, &info.corrupt_entries, &info.torn_tail);
   info.entries = entries.size();
   for (const ParsedEntry& entry : entries) {
     info.payload_bytes += PayloadSize(entry.facts.size(), entry.mimic.size());

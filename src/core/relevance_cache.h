@@ -37,12 +37,16 @@ namespace kelpie {
 /// uncached recompute, never to a wrong vector (the same
 /// no-silent-wrong-answers stance as the engine's exact-key rank cache).
 ///
-/// Persistence is *untrusted*. The file is written through WriteFileAtomic
-/// (temp + fsync + rename) and framed with per-entry CRC32C checksums;
-/// loading silently drops whatever does not verify — a torn tail is
-/// truncated, a bit-flipped entry is evicted, a stale fingerprint
-/// invalidates everything. DataLoss is a cache miss, never an error: Open
-/// always succeeds on any file bytes and the worst outcome is recomputing.
+/// Persistence is *untrusted*. The file is a record file
+/// (common/record_file.h, magic KELPRC1) with the model fingerprint in its
+/// header and one frame per entry, written through WriteFileAtomic (temp +
+/// fsync + rename); loading silently drops whatever does not verify — a
+/// bad header loads empty (evict_corrupt), a stale fingerprint invalidates
+/// everything (evict_fingerprint), a corrupt frame evicts only that entry,
+/// a torn tail stops the read (torn_tail). DataLoss is a cache miss, never
+/// an error: Open always succeeds on any file bytes and the worst outcome
+/// is recomputing. Stored vectors are not checked against the model's
+/// dimension here; the engine treats a wrong-sized one as a collision.
 ///
 /// Concurrency: GetOrCompute is thread-safe with per-entry single-flight —
 /// concurrent extractions (including across serving-pool instances sharing

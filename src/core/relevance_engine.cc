@@ -159,7 +159,13 @@ std::vector<float> RelevanceEngine::PostTrain(
   // so a persistent-cache answer is bitwise identical to computing: caching
   // changes latency and post_training_count(), never result bytes.
   if (options_.relevance_cache == nullptr) return compute();
-  return options_.relevance_cache->GetOrCompute(entity, facts, compute);
+  std::vector<float> mimic =
+      options_.relevance_cache->GetOrCompute(entity, facts, compute);
+  // A frame can verify and still hold a vector of another length (the file
+  // was written for another shape); the rank sweeps read entity_dim()
+  // floats, so treat it like a key collision and recompute uncached.
+  if (mimic.size() != model_.entity_dim()) return compute();
+  return mimic;
 }
 
 int RelevanceEngine::RankWithMimic(const Triple& prediction,

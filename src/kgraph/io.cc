@@ -1,6 +1,5 @@
 #include "kgraph/io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.h"
@@ -73,20 +72,6 @@ Result<std::vector<Triple>> ParseTriplesTsv(const std::string& text,
   }
   return out;
 }
-
-namespace {
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
-}
-
-}  // namespace
 
 Result<Dataset> LoadDatasetTsv(const std::string& name,
                                const std::string& dir) {

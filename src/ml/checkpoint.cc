@@ -2,34 +2,34 @@
 
 #include <bit>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "common/atomic_file.h"
-#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/record_file.h"
 #include "ml/serialization.h"
 
 namespace kelpie {
 
 namespace {
 
-constexpr std::string_view kMagic = "KELPCKP1";
-// v2 appends the "sparse" section (sparse optimizer blob). v1 files —
-// written before sparse updates existed, necessarily by dense trainers —
-// are still accepted on read and restore with an empty sparse blob.
-constexpr uint64_t kVersion = 2;
-constexpr uint64_t kSectionCount = 5;
-constexpr uint64_t kVersionV1 = 1;
-constexpr uint64_t kSectionCountV1 = 4;
+/// v3: the common record-file layout, the training fingerprint in the
+/// header. Earlier versions are not read (they restore as kCorrupt).
+constexpr record_file::Format kFormat{"KELPCKP1", 3};
+/// One frame per section, in this order.
+constexpr uint8_t kStateFrame = 1;
+constexpr uint8_t kRngFrame = 2;
+constexpr uint8_t kCountersFrame = 3;
+constexpr uint8_t kParamsFrame = 4;
+/// The opaque save_sparse blob itself; the trainer's restore_sparse hook
+/// is its parser.
+constexpr uint8_t kSparseFrame = 5;
+constexpr uint8_t kFrameOrder[] = {kStateFrame, kRngFrame, kCountersFrame,
+                                   kParamsFrame, kSparseFrame};
 constexpr std::string_view kFileName = "train.ckpt";
-/// Upper bound on one section's payload (the largest legitimate payload is
-/// the params section of a big model; a corrupt header must not drive a
-/// multi-gigabyte allocation).
-constexpr uint64_t kMaxSectionBytes = 1ull << 32;
 /// Bound on restored list lengths (recovery events, counters, param spans);
 /// far above anything real, low enough to reject corrupt headers cheaply.
 constexpr uint64_t kMaxListEntries = 4096;
@@ -55,57 +55,6 @@ Status ReadF32Bits(std::istream& in, float& v) {
   return Status::Ok();
 }
 
-/// name + u64 payload size + payload bytes + little-endian u32 CRC32C of
-/// the payload. The CRC frames each section independently so corruption is
-/// localized, and the declared size bounds the read so a torn tail is a
-/// DataLoss instead of a short read into garbage.
-Status WriteSection(std::ostream& out, std::string_view name,
-                    const std::string& payload) {
-  KELPIE_RETURN_IF_ERROR(WriteString(out, name));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  const uint32_t crc = Crc32c(payload);
-  for (int i = 0; i < 4; ++i) {
-    out.put(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  if (!out) return Status::Internal("checkpoint section write failed");
-  return Status::Ok();
-}
-
-Status ReadSection(std::istream& in, std::string_view want_name,
-                   std::string& payload) {
-  std::string name;
-  KELPIE_RETURN_IF_ERROR(ReadString(in, name));
-  if (name != want_name) {
-    return Status::DataLoss("checkpoint section order: expected '" +
-                            std::string(want_name) + "', found '" + name +
-                            "'");
-  }
-  uint64_t size = 0;
-  KELPIE_RETURN_IF_ERROR(ReadU64(in, size));
-  if (size > kMaxSectionBytes) {
-    return Status::DataLoss("checkpoint section '" + name +
-                            "' declares an implausible size");
-  }
-  payload.resize(size);
-  in.read(payload.data(), static_cast<std::streamsize>(size));
-  char crc_bytes[4];
-  in.read(crc_bytes, 4);
-  if (!in) {
-    return Status::DataLoss("checkpoint section '" + name + "' truncated");
-  }
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(static_cast<unsigned char>(crc_bytes[i]))
-              << (8 * i);
-  }
-  if (stored != Crc32c(payload)) {
-    return Status::DataLoss("checkpoint section '" + name +
-                            "' checksum mismatch");
-  }
-  return Status::Ok();
-}
-
 Status SerializeStateSection(const CheckpointState& state, std::string& out) {
   std::ostringstream os;
   KELPIE_RETURN_IF_ERROR(WriteU64(os, state.next_epoch));
@@ -128,8 +77,8 @@ Status SerializeStateSection(const CheckpointState& state, std::string& out) {
   return Status::Ok();
 }
 
-Status ParseStateSection(const std::string& payload, CheckpointState& state) {
-  std::istringstream in(payload);
+Status ParseStateSection(std::string_view payload, CheckpointState& state) {
+  std::istringstream in{std::string(payload)};
   KELPIE_RETURN_IF_ERROR(ReadU64(in, state.next_epoch));
   KELPIE_RETURN_IF_ERROR(ReadF32Bits(in, state.lr_scale));
   uint64_t v = 0;
@@ -169,8 +118,8 @@ Status SerializeRngSection(const RngState& rng, std::string& out) {
   return Status::Ok();
 }
 
-Status ParseRngSection(const std::string& payload, RngState& rng) {
-  std::istringstream in(payload);
+Status ParseRngSection(std::string_view payload, RngState& rng) {
+  std::istringstream in{std::string(payload)};
   for (uint64_t& s : rng.s) KELPIE_RETURN_IF_ERROR(ReadU64(in, s));
   uint64_t v = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
@@ -189,9 +138,9 @@ Status SerializeCountersSection(const std::vector<uint64_t>& counters,
   return Status::Ok();
 }
 
-Status ParseCountersSection(const std::string& payload,
+Status ParseCountersSection(std::string_view payload,
                             std::vector<uint64_t>& counters) {
-  std::istringstream in(payload);
+  std::istringstream in{std::string(payload)};
   uint64_t n = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, n));
   if (n > kMaxListEntries) {
@@ -213,9 +162,9 @@ Status SerializeParamsSection(const std::vector<std::vector<float>>& params,
   return Status::Ok();
 }
 
-Status ParseParamsSection(const std::string& payload,
+Status ParseParamsSection(std::string_view payload,
                           std::vector<std::vector<float>>& params) {
-  std::istringstream in(payload);
+  std::istringstream in{std::string(payload)};
   uint64_t n = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, n));
   if (n > kMaxListEntries) {
@@ -223,7 +172,8 @@ Status ParseParamsSection(const std::string& payload,
   }
   params.resize(n);
   for (std::vector<float>& span : params) {
-    KELPIE_RETURN_IF_ERROR(ReadFloats(in, span));
+    // A span can hold no more floats than the payload has bytes left.
+    KELPIE_RETURN_IF_ERROR(ReadFloats(in, span, payload.size() / 4));
   }
   return Status::Ok();
 }
@@ -268,15 +218,12 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
     return std::nullopt;
   }
   const std::string path = FilePath();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Result<record_file::Reader> reader = record_file::Reader::Open(path, kFormat);
+  if (!reader.ok()) {
     outcome_ = CheckpointRestoreOutcome::kNoFile;
     RestoreCounter("no_file").Increment();
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string contents = std::move(buf).str();
 
   // Everything below degrades: a checkpoint that cannot be trusted is a
   // scratch start (or a restart from the last good checkpoint the atomic
@@ -293,46 +240,28 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
     return std::nullopt;
   };
 
-  std::istringstream payload(contents);
-  char magic[8];
-  payload.read(magic, 8);
-  if (!payload || std::string_view(magic, 8) != kMagic) {
-    return degrade(CheckpointRestoreOutcome::kCorrupt, "bad magic");
-  }
-  uint64_t version = 0, fingerprint = 0, sections = 0;
-  Status header = ReadU64(payload, version);
-  if (header.ok()) header = ReadU64(payload, fingerprint);
-  if (header.ok()) header = ReadU64(payload, sections);
-  const bool is_v1 = version == kVersionV1 && sections == kSectionCountV1;
-  const bool is_v2 = version == kVersion && sections == kSectionCount;
-  if (!header.ok() || (!is_v1 && !is_v2)) {
+  if (reader->header() != record_file::HeaderOutcome::kOk) {
     return degrade(CheckpointRestoreOutcome::kCorrupt,
                    "unreadable or wrong-version header");
   }
   uint64_t expected = options_.fingerprint;
   if (failpoint::Fire("checkpoint.stale_config")) expected ^= 1;
-  if (options_.mode == CheckpointMode::kResume && fingerprint != expected) {
+  if (options_.mode == CheckpointMode::kResume &&
+      reader->fingerprint() != expected) {
     return degrade(CheckpointRestoreOutcome::kStaleConfig,
                    "config fingerprint mismatch (different model, "
                    "hyperparameters, dataset or seed)");
   }
 
   CheckpointState state;
-  std::string section;
-  Status parsed = ReadSection(payload, "state", section);
-  if (parsed.ok()) parsed = ParseStateSection(section, state);
-  if (parsed.ok()) parsed = ReadSection(payload, "rng", section);
-  if (parsed.ok()) parsed = ParseRngSection(section, state.rng);
-  if (parsed.ok()) parsed = ReadSection(payload, "counters", section);
-  if (parsed.ok()) parsed = ParseCountersSection(section, state.counters);
-  if (parsed.ok()) parsed = ReadSection(payload, "params", section);
-  if (parsed.ok()) parsed = ParseParamsSection(section, state.params);
-  if (parsed.ok() && is_v2) {
-    // The sparse section payload is the opaque save_sparse blob itself;
-    // the trainer's restore_sparse hook is its parser.
-    parsed = ReadSection(payload, "sparse", section);
-    if (parsed.ok()) state.sparse = std::move(section);
-  }
+  Result<std::vector<std::string_view>> frames =
+      reader->ReadSequence(kFrameOrder);
+  Status parsed = frames.status();
+  if (parsed.ok()) parsed = ParseStateSection((*frames)[0], state);
+  if (parsed.ok()) parsed = ParseRngSection((*frames)[1], state.rng);
+  if (parsed.ok()) parsed = ParseCountersSection((*frames)[2], state.counters);
+  if (parsed.ok()) parsed = ParseParamsSection((*frames)[3], state.params);
+  if (parsed.ok()) state.sparse = std::string((*frames)[4]);
   if (!parsed.ok()) {
     return degrade(CheckpointRestoreOutcome::kCorrupt, parsed.ToString());
   }
@@ -344,34 +273,29 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
 }
 
 Status TrainCheckpointer::Save(const CheckpointState& state) {
-  std::ostringstream out;
-  out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, kVersion));
   uint64_t fingerprint = options_.fingerprint;
   if (failpoint::Fire("checkpoint.stale_config")) fingerprint ^= 1;
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, fingerprint));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, kSectionCount));
+  std::string image = record_file::Header(kFormat, fingerprint);
   std::string section;
   KELPIE_RETURN_IF_ERROR(SerializeStateSection(state, section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "state", section));
+  record_file::AppendFrame(image, kStateFrame, section);
   KELPIE_RETURN_IF_ERROR(SerializeRngSection(state.rng, section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "rng", section));
+  record_file::AppendFrame(image, kRngFrame, section);
   KELPIE_RETURN_IF_ERROR(SerializeCountersSection(state.counters, section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "counters", section));
-  const size_t params_start = static_cast<size_t>(out.tellp());
+  record_file::AppendFrame(image, kCountersFrame, section);
   KELPIE_RETURN_IF_ERROR(SerializeParamsSection(state.params, section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "params", section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "sparse", state.sparse));
-  std::string image = std::move(out).str();
+  const size_t params_offset =
+      record_file::AppendFrame(image, kParamsFrame, section);
+  record_file::AppendFrame(image, kSparseFrame, state.sparse);
 
   if (failpoint::Fire("checkpoint.bit_flip")) {
-    // Flip one byte inside the params section: framing survives, the
-    // section CRC must catch it.
-    const size_t off = params_start + (image.size() - params_start) / 2;
+    // Flip one byte inside the params payload: framing survives, the frame
+    // CRC must catch it.
+    const size_t off = params_offset + section.size() / 2;
     image[off] = static_cast<char>(image[off] ^ 0x10);
   }
   if (failpoint::Fire("checkpoint.partial_write")) {
-    // A crash mid-serialization: only a prefix (torn inside a section)
+    // A crash mid-serialization: only a prefix (torn inside a frame)
     // reaches the file.
     image.resize(image.size() * 3 / 5);
   }

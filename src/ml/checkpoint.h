@@ -21,21 +21,21 @@ namespace kelpie {
 /// at a commit boundary this equals the divergence-rewind snapshot, so one
 /// section persists both), the non-float optimizer counters (Adam step
 /// counts), the sparse optimizer blob (touched-row Adagrad/Adam state when
-/// TrainConfig::sparse_updates is on — format v2's fifth section; v1 files
-/// without it still restore, with fresh sparse state), the RNG stream
-/// position, the epoch counter and the full recovery ledger (lr_scale,
-/// remaining recovery budget, recorded events).
+/// TrainConfig::sparse_updates is on), the RNG stream position, the epoch
+/// counter and the full recovery ledger (lr_scale, remaining recovery
+/// budget, recorded events).
 /// Resuming from it therefore converges to final parameters bitwise
 /// identical to an uninterrupted run — the same guarantee class as the
 /// experiment journal's replay.
 ///
-/// Durability discipline: one file (`train.ckpt` in the configured
-/// directory), CRC32C-framed sections, written through WriteFileAtomic —
-/// a crash at any point leaves the previous checkpoint intact or the new
-/// one complete, never a torn mix. Reads degrade, never error: a missing
-/// file, torn tail, bit flip, partial section or stale config fingerprint
-/// all restart training from scratch (or from the last good checkpoint the
-/// atomic write preserved) with a warning.
+/// Durability discipline: one record file (common/record_file.h, magic
+/// KELPCKP1, the config fingerprint in its header, one frame per section),
+/// written through WriteFileAtomic — a crash at any point leaves the
+/// previous checkpoint intact or the new one complete, never a torn mix.
+/// Reads degrade, never error: a bad header or any frame that is not ok is
+/// kCorrupt, a stale config fingerprint (kResume only) is kStaleConfig, and
+/// both restart training from scratch (or from the last good checkpoint
+/// the atomic write preserved) with a warning.
 ///
 /// Failpoints (see failpoint.h), mirroring the relevance cache's
 /// corruption matrix:
@@ -112,8 +112,7 @@ struct CheckpointState {
   /// One entry per hooks.params() span, same order and sizes.
   std::vector<std::vector<float>> params;
   /// Opaque sparse optimizer blob (GuardedTrainHooks::save_sparse); empty
-  /// for dense-only trainers and for files written before the sparse
-  /// section existed (format v1, still accepted on read).
+  /// for dense-only trainers.
   std::string sparse;
 };
 

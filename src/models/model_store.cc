@@ -1,11 +1,11 @@
 #include "models/model_store.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.h"
 #include "common/crc32c.h"
 #include "common/logging.h"
+#include "common/record_file.h"
 #include "ml/serialization.h"
 #include "models/complex.h"
 #include "models/conve.h"
@@ -17,10 +17,14 @@ namespace kelpie {
 
 namespace {
 
-constexpr std::string_view kMagic = "KELPIEMD";
-// v2: robustness fields in the config block + CRC32C trailer + atomic
-// writes. v1 files carry no checksum and are no longer accepted.
-constexpr uint64_t kVersion = 2;
+/// v3: the common record-file layout. The header binds nothing
+/// (fingerprint 0); earlier versions are not read.
+constexpr record_file::Format kFormat{"KELPIEMD", 3};
+/// Kind name, entity/relation counts and the full TrainConfig.
+constexpr uint8_t kMetaFrame = 1;
+/// The model's own SaveParameters bytes.
+constexpr uint8_t kParametersFrame = 2;
+constexpr uint8_t kFrameOrder[] = {kMetaFrame, kParametersFrame};
 
 Status WriteConfig(std::ostream& out, const TrainConfig& c) {
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.dim));
@@ -105,96 +109,57 @@ std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(
 }
 
 Status SaveModel(const LinkPredictionModel& model, ModelKind kind,
-                 const std::string& path,
-                 std::vector<ModelFileSection>* sections) {
-  std::ostringstream out;
-  auto mark = [&](const char* name) {
-    if (sections != nullptr) {
-      sections->push_back(
-          {name, static_cast<size_t>(out.tellp())});
-    }
-  };
-
-  out.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, kVersion));
-  mark("header");
-  KELPIE_RETURN_IF_ERROR(WriteString(out, ModelKindName(kind)));
-  mark("kind");
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, model.num_entities()));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, model.num_relations()));
-  mark("sizes");
-  KELPIE_RETURN_IF_ERROR(WriteConfig(out, model.config()));
-  mark("config");
-  KELPIE_RETURN_IF_ERROR(model.SaveParameters(out));
-  mark("parameters");
-  if (!out) {
+                 const std::string& path) {
+  std::ostringstream meta;
+  KELPIE_RETURN_IF_ERROR(WriteString(meta, ModelKindName(kind)));
+  KELPIE_RETURN_IF_ERROR(WriteU64(meta, model.num_entities()));
+  KELPIE_RETURN_IF_ERROR(WriteU64(meta, model.num_relations()));
+  KELPIE_RETURN_IF_ERROR(WriteConfig(meta, model.config()));
+  std::ostringstream params;
+  KELPIE_RETURN_IF_ERROR(model.SaveParameters(params));
+  if (!meta || !params) {
     return Status::Internal("model serialization failed");
   }
-
-  std::string payload = std::move(out).str();
-  const uint32_t crc = Crc32c(payload);
-  // Little-endian u32 trailer, independent of serialization.h framing so a
-  // reader can always locate it at size-4.
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  if (sections != nullptr) {
-    sections->push_back({"crc", payload.size()});
-  }
-  return WriteFileAtomic(path, payload);
+  std::string image = record_file::Header(kFormat, 0);
+  image.reserve(image.size() + 2 * record_file::kFrameOverhead +
+                meta.view().size() + params.view().size());
+  record_file::AppendFrame(image, kMetaFrame, meta.view());
+  record_file::AppendFrame(image, kParametersFrame, params.view());
+  return WriteFileAtomic(path, image);
 }
 
 Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
+  KELPIE_ASSIGN_OR_RETURN(record_file::Reader reader,
+                          record_file::Reader::Open(path, kFormat));
+  switch (reader.header()) {
+    case record_file::HeaderOutcome::kOk:
+      break;
+    case record_file::HeaderOutcome::kBadMagic:
+      return Status::InvalidArgument("not a kelpie model file: " + path);
+    case record_file::HeaderOutcome::kBadVersion:
+      return Status::InvalidArgument("unsupported model file version: " +
+                                     path);
+    case record_file::HeaderOutcome::kCorrupt:
+      return Status::DataLoss("model file header corrupt: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in) {
-    return Status::IoError("read failed: " + path);
-  }
-  const std::string contents = std::move(buf).str();
-
-  if (contents.size() < kMagic.size() ||
-      std::string_view(contents).substr(0, kMagic.size()) != kMagic) {
-    return Status::InvalidArgument("not a kelpie model file: " + path);
-  }
-  if (contents.size() < kMagic.size() + 4) {
-    return Status::DataLoss("model file truncated: " + path);
-  }
-  const size_t payload_size = contents.size() - 4;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(
-                      static_cast<unsigned char>(contents[payload_size + i]))
-                  << (8 * i);
-  }
-  const uint32_t actual_crc = Crc32c(contents.data(), payload_size);
-  if (stored_crc != actual_crc) {
-    return Status::DataLoss(
-        "model file checksum mismatch (truncated, bit-flipped, or pre-CRC "
-        "format): " + path);
+  Result<std::vector<std::string_view>> frames =
+      reader.ReadSequence(kFrameOrder);
+  if (!frames.ok()) {
+    return Status::DataLoss("model file " + path + ": " +
+                            frames.status().message());
   }
 
-  std::istringstream payload(contents.substr(0, payload_size));
-  payload.ignore(static_cast<std::streamsize>(kMagic.size()));
-  uint64_t version = 0;
-  KELPIE_RETURN_IF_ERROR(ReadU64(payload, version));
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported model file version " +
-                                   std::to_string(version));
-  }
+  std::istringstream meta{std::string((*frames)[0])};
   std::string kind_name;
-  KELPIE_RETURN_IF_ERROR(ReadString(payload, kind_name));
+  KELPIE_RETURN_IF_ERROR(ReadString(meta, kind_name));
   ModelKind kind;
   KELPIE_ASSIGN_OR_RETURN(kind, ParseModelKind(kind_name));
   uint64_t num_entities = 0, num_relations = 0;
-  KELPIE_RETURN_IF_ERROR(ReadU64(payload, num_entities));
-  KELPIE_RETURN_IF_ERROR(ReadU64(payload, num_relations));
+  KELPIE_RETURN_IF_ERROR(ReadU64(meta, num_entities));
+  KELPIE_RETURN_IF_ERROR(ReadU64(meta, num_relations));
   TrainConfig config;
-  KELPIE_RETURN_IF_ERROR(ReadConfig(payload, config));
+  KELPIE_RETURN_IF_ERROR(ReadConfig(meta, config));
   // A checksum-valid file can still describe shapes the constructors would
   // abort on; reject those as data errors instead.
   KELPIE_RETURN_IF_ERROR(ValidateConfig(kind, config));
@@ -203,7 +168,8 @@ Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
   if (model == nullptr) {
     return Status::Internal("model construction failed");
   }
-  KELPIE_RETURN_IF_ERROR(model->LoadParameters(payload));
+  std::istringstream params{std::string((*frames)[1])};
+  KELPIE_RETURN_IF_ERROR(model->LoadParameters(params));
   return model;
 }
 

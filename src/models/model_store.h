@@ -3,40 +3,29 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "models/factory.h"
 
 namespace kelpie {
 
-/// File-level model persistence. The on-disk format is self-describing:
-/// magic + version, the architecture kind, entity/relation counts, the
-/// full TrainConfig (so a loaded model can be post-trained with the exact
-/// hyperparameters it was trained with — which is what the Relevance
-/// Engine's fidelity depends on), the raw parameters, and a trailing
-/// CRC32C over everything before it. Writes are atomic (temp + fsync +
-/// rename), so a crash mid-save leaves the previous file intact, and
-/// LoadModel rejects truncated or bit-flipped files via the checksum.
+/// File-level model persistence. The file is a record file
+/// (common/record_file.h, magic KELPIEMD) of two frames: the architecture
+/// kind, entity/relation counts and full TrainConfig (so a loaded model can
+/// be post-trained with the exact hyperparameters it was trained with —
+/// which is what the Relevance Engine's fidelity depends on), then the raw
+/// parameters. Writes are atomic (temp + fsync + rename), so a crash
+/// mid-save leaves the previous file intact.
 
-/// One section of the serialized model file; `end_offset` is the byte
-/// offset one past the section's last byte. Corruption tests use these to
-/// truncate/flip at exact structural boundaries.
-struct ModelFileSection {
-  std::string name;
-  size_t end_offset = 0;
-};
-
-/// Writes `model` to `path`, overwriting atomically. When `sections` is
-/// non-null it receives the layout of the written file.
+/// Writes `model` to `path`, overwriting atomically.
 Status SaveModel(const LinkPredictionModel& model, ModelKind kind,
-                 const std::string& path,
-                 std::vector<ModelFileSection>* sections = nullptr);
+                 const std::string& path);
 
 /// Reconstructs a model from `path`. The returned model is ready for
-/// scoring, explanation extraction and post-training. Returns
-/// `Status::DataLoss` when the checksum does not match the payload
-/// (truncation, bit flips, torn writes).
+/// scoring, explanation extraction and post-training. A file that is not a
+/// model file (bad magic or version) is InvalidArgument; a corrupt header
+/// or any frame that is not ok (truncation, bit flips, torn writes) is
+/// DataLoss.
 Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
     const std::string& path);
 

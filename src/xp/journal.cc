@@ -1,40 +1,22 @@
 #include "xp/journal.h"
 
 #include <bit>
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
-#include "common/crc32c.h"
 #include "ml/serialization.h"
 
 namespace kelpie {
 
 namespace {
 
-constexpr std::string_view kMagic = "KELPIEJL";
-/// v1: prediction/facts/conversion/relevance/accepted/counters.
-/// v2: + completeness, skipped_candidates, divergent_candidates.
-/// v3: + optional trailing run-summary frame (marker-led payload).
-constexpr uint64_t kVersion = 3;
-constexpr uint64_t kOldestReadableVersion = 1;
-/// First u64 of a summary payload. Record payloads start with an entity id
-/// widened from uint32, so the all-ones marker can never collide.
-constexpr uint64_t kSummaryMarker = 0xFFFFFFFFFFFFFFFFull;
-constexpr size_t kHeaderSize = 8 + 8 + 8;  // magic + version + run_id
-// Defense against corrupt length prefixes: no legitimate record (a few
-// dozen triples) comes anywhere near this.
+/// v4: the common record-file layout, the run id in the header, the
+/// summary as its own frame type. Earlier versions are not read.
+constexpr record_file::Format kFormat{"KELPIEJL", 4};
+constexpr uint8_t kRecordFrame = 1;
+constexpr uint8_t kSummaryFrame = 2;
+// Defense against corrupt counts: no legitimate record (a few dozen
+// triples) comes anywhere near this.
 constexpr uint64_t kMaxRecordSize = 1ull << 24;
-
-uint64_t ReadU64At(const std::string& bytes, size_t offset) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(
-             static_cast<unsigned char>(bytes[offset + i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 Status WriteTriple(std::ostream& out, const Triple& t) {
   KELPIE_RETURN_IF_ERROR(
@@ -77,8 +59,8 @@ Result<std::string> SerializeRecord(const PredictionRecord& r) {
   return std::move(out).str();
 }
 
-Status ParseRecord(const std::string& payload, PredictionRecord& r) {
-  std::istringstream in(payload);
+Status ParseRecord(std::string_view payload, PredictionRecord& r) {
+  std::istringstream in{std::string(payload)};
   KELPIE_RETURN_IF_ERROR(ReadTriple(in, r.prediction));
   uint64_t count = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, count));
@@ -106,13 +88,6 @@ Status ParseRecord(const std::string& payload, PredictionRecord& r) {
   r.accepted = (v != 0);
   KELPIE_RETURN_IF_ERROR(ReadU64(in, r.post_trainings));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, r.visited_candidates));
-  // Format v2 appends three counters; a v1 record's payload ends here and
-  // reads back with them defaulted (a v1 run could only journal complete
-  // extractions). Keyed on payload length, not header version, so files
-  // that mix v1 and v2 records parse correctly.
-  if (in.peek() == std::char_traits<char>::eof()) {
-    return Status::Ok();
-  }
   KELPIE_RETURN_IF_ERROR(ReadU64(in, r.completeness));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, r.skipped_candidates));
   return ReadU64(in, r.divergent_candidates);
@@ -120,7 +95,6 @@ Status ParseRecord(const std::string& payload, PredictionRecord& r) {
 
 Result<std::string> SerializeSummary(const RunSummary& s) {
   std::ostringstream out;
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, kSummaryMarker));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, s.predictions));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, s.accepted));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, s.truncated));
@@ -133,19 +107,8 @@ Result<std::string> SerializeSummary(const RunSummary& s) {
   return std::move(out).str();
 }
 
-/// True when `payload` is a summary frame (marker-led) rather than a
-/// prediction record.
-bool IsSummaryPayload(const std::string& payload) {
-  return payload.size() >= 8 && ReadU64At(payload, 0) == kSummaryMarker;
-}
-
-Status ParseSummary(const std::string& payload, RunSummary& s) {
-  std::istringstream in(payload);
-  uint64_t v = 0;
-  KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
-  if (v != kSummaryMarker) {
-    return Status::DataLoss("journal summary frame missing marker");
-  }
+Status ParseSummary(std::string_view payload, RunSummary& s) {
+  std::istringstream in{std::string(payload)};
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.predictions));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.accepted));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.truncated));
@@ -153,35 +116,10 @@ Status ParseSummary(const std::string& payload, RunSummary& s) {
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.visited_candidates));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.skipped_candidates));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, s.divergent_candidates));
+  uint64_t v = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
   s.mean_relevance = std::bit_cast<double>(v);
   return Status::Ok();
-}
-
-std::string FrameRecord(const std::string& payload) {
-  std::string frame;
-  frame.reserve(8 + payload.size() + 4);
-  for (int i = 0; i < 8; ++i) {
-    frame.push_back(
-        static_cast<char>((payload.size() >> (8 * i)) & 0xFF));
-  }
-  frame += payload;
-  const uint32_t crc = Crc32c(payload);
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  return frame;
-}
-
-std::string MakeHeader(uint64_t run_id) {
-  std::string header(kMagic);
-  for (int i = 0; i < 8; ++i) {
-    header.push_back(static_cast<char>((kVersion >> (8 * i)) & 0xFF));
-  }
-  for (int i = 0; i < 8; ++i) {
-    header.push_back(static_cast<char>((run_id >> (8 * i)) & 0xFF));
-  }
-  return header;
 }
 
 }  // namespace
@@ -189,130 +127,60 @@ std::string MakeHeader(uint64_t run_id) {
 Result<RunJournal> RunJournal::Open(const std::string& path, uint64_t run_id,
                                     bool resume) {
   RunJournal journal;
-  journal.path_ = path;
-
-  std::string existing;
-  if (resume) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      existing = std::move(buf).str();
-    }
-  }
-
-  size_t good_end = 0;
-  if (!existing.empty()) {
-    if (existing.size() < kHeaderSize ||
-        std::string_view(existing).substr(0, kMagic.size()) != kMagic) {
+  std::string image = record_file::Header(kFormat, run_id);
+  Result<record_file::Reader> existing =
+      resume ? record_file::Reader::Open(path, kFormat)
+             : Status::NotFound(path);
+  if (existing.ok() && !existing->bytes().empty()) {
+    record_file::Reader& reader = *existing;
+    if (reader.header() != record_file::HeaderOutcome::kOk) {
       return Status::DataLoss("not a kelpie journal file: " + path);
     }
-    const uint64_t version = ReadU64At(existing, kMagic.size());
-    if (version < kOldestReadableVersion || version > kVersion) {
-      return Status::InvalidArgument("unsupported journal version " +
-                                     std::to_string(version));
-    }
-    const uint64_t stored_run_id = ReadU64At(existing, kMagic.size() + 8);
-    if (stored_run_id != run_id) {
+    if (reader.fingerprint() != run_id) {
       return Status::FailedPrecondition(
           "journal " + path +
           " belongs to a different run configuration; refusing to resume "
           "(delete it or drop --resume to start over)");
     }
-    journal.version_ = version;
-    // Replay complete records; stop at the first torn or corrupt frame.
-    // Anything after it is a casualty of the interrupted write and is
-    // truncated away below. A valid summary frame is consumed separately
-    // and does not advance `last_record_end`: the file is truncated back to
-    // the last data record, so appends resume there and the finished run
-    // writes a fresh summary.
-    size_t offset = kHeaderSize;
-    good_end = offset;
-    size_t last_record_end = offset;
-    while (offset + 8 <= existing.size()) {
-      const uint64_t len = ReadU64At(existing, offset);
-      if (len > kMaxRecordSize || offset + 8 + len + 4 > existing.size()) {
-        break;
-      }
-      const std::string payload = existing.substr(offset + 8, len);
-      uint32_t stored_crc = 0;
-      for (int i = 0; i < 4; ++i) {
-        stored_crc |= static_cast<uint32_t>(static_cast<unsigned char>(
-                          existing[offset + 8 + len + i]))
-                      << (8 * i);
-      }
-      if (stored_crc != Crc32c(payload)) break;
-      if (IsSummaryPayload(payload)) {
+    // Replay complete records; stop at the first frame that is not ok.
+    // Anything after it is a casualty of the interrupted write. A summary
+    // frame is consumed but not kept: the file is rewritten up to the last
+    // data record, so appends resume there and the finished run writes a
+    // fresh summary.
+    size_t last_record_end = record_file::kHeaderSize;
+    record_file::Frame frame;
+    while (reader.Next(frame) &&
+           frame.outcome == record_file::FrameOutcome::kOk) {
+      if (frame.tag == kRecordFrame) {
+        PredictionRecord record;
+        KELPIE_RETURN_IF_ERROR(ParseRecord(frame.payload, record));
+        journal.recovered_.push_back(std::move(record));
+        last_record_end = frame.end;
+      } else if (frame.tag == kSummaryFrame) {
         RunSummary summary;
-        KELPIE_RETURN_IF_ERROR(ParseSummary(payload, summary));
+        KELPIE_RETURN_IF_ERROR(ParseSummary(frame.payload, summary));
         journal.recovered_summary_ = summary;
       } else {
-        PredictionRecord record;
-        KELPIE_RETURN_IF_ERROR(ParseRecord(payload, record));
-        journal.recovered_.push_back(std::move(record));
-        last_record_end = offset + 8 + len + 4;
-      }
-      offset += 8 + len + 4;
-      good_end = offset;
-    }
-    const size_t keep =
-        journal.recovered_summary_.has_value() ? last_record_end : good_end;
-    if (keep < existing.size()) {
-      std::error_code ec;
-      std::filesystem::resize_file(path, keep, ec);
-      if (ec) {
-        return Status::IoError("cannot truncate torn journal tail of " +
-                               path + ": " + ec.message());
+        break;
       }
     }
-    journal.out_.open(path, std::ios::binary | std::ios::app);
-    if (!journal.out_) {
-      return Status::IoError("cannot open journal for appending: " + path);
-    }
-    return journal;
+    image = std::string(reader.bytes().substr(0, last_record_end));
   }
-
-  journal.out_.open(path, std::ios::binary | std::ios::trunc);
-  if (!journal.out_) {
-    return Status::IoError("cannot open journal for writing: " + path);
-  }
-  const std::string header = MakeHeader(run_id);
-  journal.out_.write(header.data(),
-                     static_cast<std::streamsize>(header.size()));
-  journal.out_.flush();
-  if (!journal.out_) {
-    return Status::IoError("journal header write failed: " + path);
-  }
+  KELPIE_ASSIGN_OR_RETURN(journal.out_,
+                          record_file::Appender::Open(path, image));
   return journal;
 }
 
 Status RunJournal::Append(const PredictionRecord& record) {
   std::string payload;
   KELPIE_ASSIGN_OR_RETURN(payload, SerializeRecord(record));
-  const std::string frame = FrameRecord(payload);
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  out_.flush();
-  if (!out_) {
-    return Status::IoError("journal append failed: " + path_);
-  }
-  return Status::Ok();
+  return out_.Append(kRecordFrame, payload);
 }
 
 Status RunJournal::AppendSummary(const RunSummary& summary) {
-  if (!supports_summary()) {
-    return Status::FailedPrecondition(
-        "journal " + path_ + " uses format v" + std::to_string(version_) +
-        ", which predates summary frames");
-  }
   std::string payload;
   KELPIE_ASSIGN_OR_RETURN(payload, SerializeSummary(summary));
-  const std::string frame = FrameRecord(payload);
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  out_.flush();
-  if (!out_) {
-    return Status::IoError("journal summary append failed: " + path_);
-  }
-  return Status::Ok();
+  return out_.Append(kSummaryFrame, payload);
 }
 
 }  // namespace kelpie

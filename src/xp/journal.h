@@ -2,11 +2,11 @@
 #define KELPIE_XP_JOURNAL_H_
 
 #include <cstdint>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/record_file.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "kgraph/triple.h"
@@ -28,8 +28,7 @@ struct PredictionRecord {
   uint64_t visited_candidates = 0;
   /// Numeric value of the extraction's kelpie::Completeness; 0 = complete.
   /// A non-zero value marks a truncated prediction that `--resume
-  /// --retry-truncated` may re-extract under larger limits. Records written
-  /// by format v1 read back as complete (the only state v1 could journal).
+  /// --retry-truncated` may re-extract under larger limits.
   uint64_t completeness = 0;
   uint64_t skipped_candidates = 0;
   uint64_t divergent_candidates = 0;
@@ -37,8 +36,8 @@ struct PredictionRecord {
   bool operator==(const PredictionRecord&) const = default;
 };
 
-/// Deterministic per-run aggregate appended as the journal's final frame
-/// (format v3). It is recomputed from the complete result set each time the
+/// Deterministic per-run aggregate appended as the journal's final frame.
+/// It is recomputed from the complete result set each time the
 /// run finishes, so an interrupted-and-resumed run converges to the same
 /// summary as an uninterrupted one — resuming never double-counts work that
 /// was already journaled.
@@ -57,28 +56,17 @@ struct RunSummary {
   bool operator==(const RunSummary&) const = default;
 };
 
-/// Append-only, CRC-framed journal of per-prediction progress.
+/// Append-only journal of per-prediction progress.
 ///
-/// File layout: a header (magic "KELPIEJL", format version, the run id)
-/// followed by records, each framed as [u64 length][payload][u32 CRC32C of
-/// payload]. Appends are flushed record-by-record, so a killed run loses at
-/// most the record being written; on reopen a torn or corrupt tail is
-/// detected by the framing, truncated away, and the run resumes from the
-/// last complete record.
-///
-/// Format v2 appends completeness/skipped/divergent counters to each
-/// record. Reading is backward compatible: v1 files (and v1 records inside
-/// a resumed-then-appended file) parse with those fields defaulted, keyed
-/// on the frame's payload length rather than the header version.
-///
-/// Format v3 may end with one summary frame whose payload starts with an
-/// all-ones u64 marker — unambiguous, because every record payload starts
-/// with an entity id widened from 32 bits. Resuming consumes the stale
-/// summary (exposed as recovered_summary()) and truncates it away, so new
-/// records append after the last data record and the finished run appends a
-/// fresh summary. Files with v1/v2 headers keep their version on resume and
-/// never receive summary frames (supports_summary() is false), preserving
-/// read compatibility with older readers.
+/// File layout: a record file (common/record_file.h, magic KELPIEJL) with
+/// the run id in its header, one record frame per prediction and, once a
+/// run finishes, one summary frame. Appends are flushed record-by-record,
+/// so a killed run loses at most the record being written. On resume the
+/// records replay up to the first frame that is not ok; the file is
+/// rewritten up to the last record, dropping a torn or corrupt tail and a
+/// stale summary (exposed as recovered_summary()), so new records append
+/// after the last data record and the finished run appends a fresh summary.
+/// A header that does not verify is DataLoss.
 ///
 /// The run id is a fingerprint of everything that determines the run's
 /// results (scenario, model, dataset, predictions, seeds — see
@@ -97,8 +85,7 @@ class RunJournal {
   /// Appends one record and flushes it to the file.
   Status Append(const PredictionRecord& record);
 
-  /// Appends the run summary frame and flushes it. Fails on journals whose
-  /// on-disk format predates summaries (supports_summary() false).
+  /// Appends the run summary frame and flushes it.
   Status AppendSummary(const RunSummary& summary);
 
   /// Records recovered from a resumed journal, in append order.
@@ -107,16 +94,11 @@ class RunJournal {
   }
 
   /// The summary frame recovered from a resumed journal, if the previous
-  /// run finished and wrote one. The frame itself has already been
-  /// truncated from the file (see class comment).
+  /// run finished and wrote one. The frame itself has already been dropped
+  /// from the file (see class comment).
   const std::optional<RunSummary>& recovered_summary() const {
     return recovered_summary_;
   }
-
-  /// True when the journal's on-disk format (v3+) carries summary frames.
-  /// False for journals resumed from v1/v2 files, which stay at their
-  /// original version for older readers.
-  bool supports_summary() const { return version_ >= 3; }
 
   /// An inert journal (no file); assign from Open() before use.
   RunJournal() = default;
@@ -124,11 +106,7 @@ class RunJournal {
   RunJournal& operator=(RunJournal&&) = default;
 
  private:
-  std::string path_;
-  std::ofstream out_;
-  /// On-disk header version: 3 for fresh journals, the stored version when
-  /// resuming an existing file.
-  uint64_t version_ = 3;
+  record_file::Appender out_;
   std::vector<PredictionRecord> recovered_;
   std::optional<RunSummary> recovered_summary_;
 };

@@ -465,10 +465,8 @@ Result<NecessaryRunResult> RunNecessaryEndToEndResumable(
       CheckRunInterrupt(control, predictions.size(), predictions.size()));
   result.after = RetrainAndMeasure(kind, dataset, predictions, to_remove, {},
                                    target, retrain_seed, control.retrain);
-  if (journal.supports_summary()) {
-    KELPIE_RETURN_IF_ERROR(
-        journal.AppendSummary(SummaryOfExplanations(result.explanations)));
-  }
+  KELPIE_RETURN_IF_ERROR(
+      journal.AppendSummary(SummaryOfExplanations(result.explanations)));
   return result;
 }
 
@@ -571,10 +569,8 @@ Result<SufficientRunResult> RunSufficientEndToEndResumable(
       predictions, result.explanations, result.conversion_sets, target);
   result.after = RetrainAndMeasure(kind, dataset, converted, {}, added,
                                    target, retrain_seed, control.retrain);
-  if (journal.supports_summary()) {
-    KELPIE_RETURN_IF_ERROR(
-        journal.AppendSummary(SummaryOfExplanations(result.explanations)));
-  }
+  KELPIE_RETURN_IF_ERROR(
+      journal.AppendSummary(SummaryOfExplanations(result.explanations)));
   return result;
 }
 

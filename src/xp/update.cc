@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/crc32c.h"
+#include "common/record_file.h"
 #include "core/relevance_cache.h"
 #include "math/rng.h"
 
@@ -17,16 +16,14 @@ namespace kelpie::xp {
 
 namespace {
 
-/// Update journal layout (host-endian, single-host artifact):
-///   magic "KELPIEUD" | u64 version | u64 run_id | u32 crc32c(header)
-/// followed by one frame per completed row:
-///   u64 payload_len | payload | u32 crc32c(payload)
-/// payload = u64 entity | u64 dim | dim * f32
+/// The update journal is a record file (common/record_file.h) with the run
+/// id in its header and one row frame per completed row. Row payload
+/// (host-endian, single-host artifact):
+///   u64 entity | u64 dim | dim * f32
 /// The run id binds the journal to (model parameters, delta, seed); frames
 /// replay in any order, so a torn tail only costs recomputing its row.
-constexpr char kJournalMagic[8] = {'K', 'E', 'L', 'P', 'I', 'E', 'U', 'D'};
-constexpr uint64_t kJournalVersion = 1;
-constexpr size_t kJournalHeaderSize = 8 + 8 + 8 + 4;
+constexpr record_file::Format kJournalFormat{"KELPIEUD", 2};
+constexpr uint8_t kRowFrame = 1;
 
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -89,100 +86,41 @@ uint64_t ComputeRunId(uint64_t params_fingerprint, uint64_t seed,
   return h;
 }
 
-std::string SerializeJournalHeader(uint64_t run_id) {
-  std::string out(kJournalMagic, sizeof(kJournalMagic));
-  AppendRaw(out, kJournalVersion);
-  AppendRaw(out, run_id);
-  AppendRaw(out, Crc32c(out.data(), out.size()));
-  return out;
-}
-
-std::string SerializeRowFrame(EntityId entity,
-                              const std::vector<float>& row) {
+std::string RowPayload(EntityId entity, const std::vector<float>& row) {
   std::string payload;
   AppendRaw(payload, static_cast<uint64_t>(static_cast<uint32_t>(entity)));
   AppendRaw(payload, static_cast<uint64_t>(row.size()));
   payload.append(reinterpret_cast<const char*>(row.data()),
                  row.size() * sizeof(float));
-  std::string frame;
-  AppendRaw(frame, static_cast<uint64_t>(payload.size()));
-  frame += payload;
-  AppendRaw(frame, Crc32c(payload));
-  return frame;
+  return payload;
 }
 
-/// What a resume recovered from an existing journal file.
-struct JournalRecovery {
-  /// Rows whose frames verified; replayed byte-identically.
-  std::unordered_map<EntityId, std::vector<float>> rows;
-  /// The verified prefix (header + good frames) to rewrite, dropping any
-  /// torn or corrupt tail.
-  std::string verified_prefix;
-  bool header_ok = false;
-  uint64_t run_id = 0;
-};
-
-/// Parses with the persistence-is-untrusted rules of the checkpoint and
-/// relevance-cache files: a bad header loads as empty, a bad frame
-/// truncates the tail. Only a *verifying* header with the wrong run id is
-/// reported by the caller as FailedPrecondition — that file is healthy, it
-/// just belongs to a different update.
-JournalRecovery RecoverJournal(const std::string& bytes, size_t dim,
-                               size_t num_entities) {
-  JournalRecovery out;
-  if (bytes.size() < kJournalHeaderSize) return out;
-  size_t off = 0;
-  if (std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return out;
-  }
-  off = sizeof(kJournalMagic);
-  uint64_t version = 0;
-  uint32_t header_crc = 0;
-  if (!ReadRaw(bytes, off, &version)) return out;
-  if (!ReadRaw(bytes, off, &out.run_id)) return out;
-  if (!ReadRaw(bytes, off, &header_crc)) return out;
-  if (version != kJournalVersion ||
-      header_crc != Crc32c(bytes.data(), kJournalHeaderSize - 4)) {
-    return out;
-  }
-  out.header_ok = true;
-  size_t verified_end = off;
-  while (off < bytes.size()) {
-    const size_t frame_start = off;
-    uint64_t payload_len = 0;
-    if (!ReadRaw(bytes, off, &payload_len)) break;
-    if (payload_len < 16 || payload_len > bytes.size() - off) break;
-    const std::string_view payload(bytes.data() + off, payload_len);
-    off += payload_len;
-    uint32_t crc = 0;
-    if (!ReadRaw(bytes, off, &crc)) break;
-    if (crc != Crc32c(payload.data(), payload.size())) break;
-    size_t poff = 0;
+/// Replays the rows of a verified-header journal into `rows`, stopping at
+/// the first frame that is not ok or whose row does not fit this model, and
+/// returns the verified prefix (header + good frames) to rewrite.
+std::string_view RecoverRows(
+    record_file::Reader& reader, size_t dim, size_t num_entities,
+    std::unordered_map<EntityId, std::vector<float>>& rows) {
+  size_t verified_end = record_file::kHeaderSize;
+  record_file::Frame frame;
+  while (reader.Next(frame) &&
+         frame.outcome == record_file::FrameOutcome::kOk &&
+         frame.tag == kRowFrame) {
+    size_t off = 0;
     uint64_t entity_raw = 0;
     uint64_t row_dim = 0;
-    ReadRaw(payload, poff, &entity_raw);
-    ReadRaw(payload, poff, &row_dim);
-    if (entity_raw >= num_entities || row_dim != dim ||
-        payload.size() - poff != dim * sizeof(float)) {
+    if (!ReadRaw(frame.payload, off, &entity_raw) ||
+        !ReadRaw(frame.payload, off, &row_dim) ||
+        entity_raw >= num_entities || row_dim != dim ||
+        frame.payload.size() - off != dim * sizeof(float)) {
       break;
     }
     std::vector<float> row(dim);
-    std::memcpy(row.data(), payload.data() + poff, dim * sizeof(float));
-    out.rows.emplace(static_cast<EntityId>(entity_raw), std::move(row));
-    verified_end = off;
-    (void)frame_start;
+    std::memcpy(row.data(), frame.payload.data() + off, dim * sizeof(float));
+    rows.emplace(static_cast<EntityId>(entity_raw), std::move(row));
+    verified_end = frame.end;
   }
-  out.verified_prefix = bytes.substr(0, verified_end);
-  return out;
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("cannot read " + path);
-  return buffer.str();
+  return reader.bytes().substr(0, verified_end);
 }
 
 /// One tab-separated field; empty fields are malformed (caught by the
@@ -356,37 +294,32 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
   // (and a crash/resume split) irrelevant to the final bytes.
   std::unordered_map<EntityId, std::vector<float>> staged;
 
-  std::ofstream journal;
+  record_file::Appender journal;
   if (!options.journal_path.empty()) {
-    std::string prefix = SerializeJournalHeader(run_id);
-    if (options.resume) {
-      Result<std::string> bytes = ReadWholeFile(options.journal_path);
-      if (bytes.ok()) {
-        JournalRecovery recovered =
-            RecoverJournal(*bytes, dim, model.num_entities());
-        if (recovered.header_ok && recovered.run_id != run_id) {
-          return Status::FailedPrecondition(
-              "journal " + options.journal_path +
-              " belongs to a different update run (model, delta or seed "
-              "changed); delete it or point --journal elsewhere");
-        }
-        if (recovered.header_ok) {
-          staged = std::move(recovered.rows);
-          report.rows_replayed = staged.size();
-          prefix = std::move(recovered.verified_prefix);
-        }
+    // A bad header is a fresh start; only a *verifying* header with the
+    // wrong run id is refused — that file is healthy, it just belongs to a
+    // different update.
+    std::string prefix = record_file::Header(kJournalFormat, run_id);
+    Result<record_file::Reader> existing =
+        options.resume
+            ? record_file::Reader::Open(options.journal_path, kJournalFormat)
+            : Status::NotFound(options.journal_path);
+    if (existing.ok() &&
+        existing->header() == record_file::HeaderOutcome::kOk) {
+      if (existing->fingerprint() != run_id) {
+        return Status::FailedPrecondition(
+            "journal " + options.journal_path +
+            " belongs to a different update run (model, delta or seed "
+            "changed); delete it or point --journal elsewhere");
       }
+      prefix = std::string(
+          RecoverRows(*existing, dim, model.num_entities(), staged));
+      report.rows_replayed = staged.size();
     }
     // Rewrite the verified prefix (or a fresh header) atomically, then
     // append: a torn tail from a previous crash is dropped exactly once.
-    Status s = WriteFileAtomic(options.journal_path, prefix);
-    if (!s.ok()) return s;
-    journal.open(options.journal_path,
-                 std::ios::binary | std::ios::app);
-    if (!journal) {
-      return Status::IoError("cannot append to journal " +
-                             options.journal_path);
-    }
+    KELPIE_ASSIGN_OR_RETURN(
+        journal, record_file::Appender::Open(options.journal_path, prefix));
   }
 
   for (EntityId entity : report.affected) {
@@ -413,15 +346,8 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
                               std::to_string(row.size()) + " floats, want " +
                               std::to_string(dim));
     }
-    if (journal.is_open()) {
-      const std::string frame = SerializeRowFrame(entity, row);
-      journal.write(frame.data(),
-                    static_cast<std::streamsize>(frame.size()));
-      journal.flush();
-      if (!journal) {
-        return Status::IoError("failed appending to journal " +
-                               options.journal_path);
-      }
+    if (!options.journal_path.empty()) {
+      KELPIE_RETURN_IF_ERROR(journal.Append(kRowFrame, RowPayload(entity, row)));
     }
     staged.emplace(entity, std::move(row));
     ++report.rows_recomputed;

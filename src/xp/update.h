@@ -34,12 +34,14 @@ namespace kelpie::xp {
 /// be processed in any order — or across a crash — and converge to the
 /// same bytes.
 ///
-/// Durability: with a journal path, each completed row is appended as a
-/// CRC32C-framed record under a run id that binds (model parameters,
-/// delta, seed). A killed update resumed with the same arguments replays
-/// journaled rows byte-identically and computes only the remainder; a torn
-/// trailing frame is truncated, and a journal from a different run fails
-/// with FailedPrecondition rather than silently mixing state.
+/// Durability: with a journal path, each completed row is appended as one
+/// frame of a record file (common/record_file.h, magic KELPIEUD) whose
+/// header carries a run id that binds (model parameters, delta, seed). A
+/// killed update resumed with the same arguments replays journaled rows
+/// byte-identically, up to the first bad frame or misshapen row, and
+/// computes only the remainder; the tail after it is dropped, a bad header
+/// starts fresh, and a journal from a different run fails with
+/// FailedPrecondition rather than silently mixing state.
 ///
 /// Cache contract: mimics depend on the full parameter vector, so any
 /// committed row change flips ComputeModelFingerprint and invalidates

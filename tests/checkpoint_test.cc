@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,6 +21,29 @@
 #include "models/factory.h"
 #include "models/model_store.h"
 #include "tests/test_util.h"
+
+namespace kelpie {
+
+/// Largest single operator-new request while tracking is on (see the
+/// replacement operator new below); lets a test prove a corrupt length
+/// never drives an allocation.
+std::atomic<size_t> g_largest_allocation{0};
+std::atomic<bool> g_track_allocations{false};
+
+}  // namespace kelpie
+
+void* operator new(std::size_t size) {
+  if (kelpie::g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = kelpie::g_largest_allocation.load();
+    while (seen < size &&
+           !kelpie::g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kelpie {
 namespace {
@@ -396,6 +422,49 @@ TEST_F(CheckpointCorruptionTest, WrongFingerprintIsStaleConfig) {
   // Distinct seed, config or dataset => distinct fingerprint.
   EXPECT_NE(fp, Fingerprint(ModelKind::kTransE, 43));
   EXPECT_NE(fp, Fingerprint(ModelKind::kDistMult, 42));
+}
+
+TEST_F(CheckpointCorruptionTest, HugeFrameLengthIsCorruptWithoutAllocating) {
+  const std::string ckpt = MakeGoodCheckpoint("huge_length");
+  const std::string file = TrainCheckpointer({ckpt}).FilePath();
+  {
+    // The first frame's u64 length follows the 24-byte header and its
+    // 1-byte tag; declare 2^31 bytes in a file of a few kilobytes.
+    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const uint64_t length = uint64_t{1} << 31;
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+    }
+    f.seekp(25);
+    f.write(bytes, 8);
+  }
+  g_largest_allocation.store(0);
+  g_track_allocations.store(true);
+  const CheckpointRestoreOutcome outcome =
+      RestoreOutcome(ckpt, Fingerprint(ModelKind::kTransE, 42));
+  g_track_allocations.store(false);
+  EXPECT_EQ(outcome, CheckpointRestoreOutcome::kCorrupt);
+  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 24)
+      << "a declared length must be checked against the file before any "
+         "allocation";
+}
+
+TEST_F(CheckpointCorruptionTest, FlippedFingerprintByteIsCorruptNotStale) {
+  // The header CRC covers the fingerprint: damage to it on disk is
+  // corruption, not a checkpoint from another setup.
+  const std::string ckpt = MakeGoodCheckpoint("fingerprint_flip");
+  FlipByte(TrainCheckpointer({ckpt}).FilePath(), 14);
+  EXPECT_EQ(RestoreOutcome(ckpt, Fingerprint(ModelKind::kTransE, 42)),
+            CheckpointRestoreOutcome::kCorrupt);
+}
+
+TEST_F(CheckpointCorruptionTest, StaleConfigFailpointIsStillStaleConfig) {
+  const std::string ckpt = MakeGoodCheckpoint("stale_failpoint");
+  failpoint::Arm("checkpoint.stale_config");
+  EXPECT_EQ(RestoreOutcome(ckpt, Fingerprint(ModelKind::kTransE, 42)),
+            CheckpointRestoreOutcome::kStaleConfig);
 }
 
 TEST_F(CheckpointCorruptionTest, SaveFailpointsDamageOnlyDurability) {

@@ -6,12 +6,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/crc32c.h"
 
 namespace kelpie {
 namespace {
@@ -114,6 +111,20 @@ TEST_F(JournalTest, GarbageFileRejected) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
 }
 
+TEST_F(JournalTest, CorruptHeaderRejected) {
+  {
+    Result<RunJournal> journal = RunJournal::Open(path_, 3, false);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
+  }
+  std::string bytes = ReadAll(path_);
+  bytes[12] ^= 0x01;  // a run-id byte: the header CRC no longer verifies
+  WriteAll(path_, bytes);
+  Result<RunJournal> resumed = RunJournal::Open(path_, 3, true);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss);
+}
+
 TEST_F(JournalTest, TornTailIsTruncatedAndResumable) {
   {
     Result<RunJournal> journal = RunJournal::Open(path_, 9, false);
@@ -174,122 +185,7 @@ TEST_F(JournalTest, EmptyRecordFieldsRoundTrip) {
   EXPECT_EQ(resumed->recovered()[0], r);
 }
 
-// ----------------------------------------------------- v1 compatibility ----
-//
-// Format v2 appended three u64 counters (completeness, skipped, divergent)
-// to each record's payload. The tests below hand-craft v1 bytes from a v2
-// journal: drop the trailing 24 payload bytes of a frame, re-frame with the
-// recomputed length and CRC, and (for a pure v1 file) patch the header
-// version. Parsing is keyed on payload length, so v1 records read back with
-// the counters defaulted even when mixed with v2 records in one file.
-
-constexpr size_t kHeaderSize = 24;           // magic + version + run_id
-constexpr size_t kV2CounterBytes = 3 * 8;    // the payload bytes v2 added
-
-uint64_t ReadU64At(const std::string& bytes, size_t offset) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[offset + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-/// [offset, length-of-whole-frame] of each record frame after the header.
-std::vector<std::pair<size_t, size_t>> ListFrames(const std::string& bytes) {
-  std::vector<std::pair<size_t, size_t>> frames;
-  size_t offset = kHeaderSize;
-  while (offset + 8 <= bytes.size()) {
-    const size_t len = static_cast<size_t>(ReadU64At(bytes, offset));
-    const size_t frame_size = 8 + len + 4;
-    if (offset + frame_size > bytes.size()) break;
-    frames.emplace_back(offset, frame_size);
-    offset += frame_size;
-  }
-  return frames;
-}
-
-/// Re-frames the payload inside `frame` as a v1 record (counters dropped).
-std::string ToV1Frame(const std::string& frame) {
-  const size_t payload_size =
-      static_cast<size_t>(ReadU64At(frame, 0)) - kV2CounterBytes;
-  const std::string payload = frame.substr(8, payload_size);
-  std::string v1;
-  for (int i = 0; i < 8; ++i) {
-    v1.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xFF));
-  }
-  v1 += payload;
-  const uint32_t crc = Crc32c(payload);
-  for (int i = 0; i < 4; ++i) {
-    v1.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  return v1;
-}
-
-PredictionRecord WithDefaultedCounters(PredictionRecord r) {
-  r.completeness = 0;
-  r.skipped_candidates = 0;
-  r.divergent_candidates = 0;
-  return r;
-}
-
-TEST_F(JournalTest, V1RecordsParseWithDefaultedCounters) {
-  {
-    Result<RunJournal> journal = RunJournal::Open(path_, 5, false);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
-    ASSERT_TRUE(journal->Append(MakeRecord(1)).ok());
-  }
-  const std::string bytes = ReadAll(path_);
-  const auto frames = ListFrames(bytes);
-  ASSERT_EQ(frames.size(), 2u);
-
-  // Rebuild the file as a genuine v1 journal: version byte 1, every record
-  // without the v2 counters.
-  std::string v1 = bytes.substr(0, kHeaderSize);
-  v1[8] = 1;  // version lives at offset 8, little-endian
-  for (const auto& [offset, size] : frames) {
-    v1 += ToV1Frame(bytes.substr(offset, size));
-  }
-  WriteAll(path_, v1);
-
-  Result<RunJournal> resumed = RunJournal::Open(path_, 5, true);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed->recovered().size(), 2u);
-  EXPECT_EQ(resumed->recovered()[0], WithDefaultedCounters(MakeRecord(0)));
-  EXPECT_EQ(resumed->recovered()[1], WithDefaultedCounters(MakeRecord(1)));
-}
-
-TEST_F(JournalTest, MixedV1AndV2RecordsParse) {
-  // A v1 journal resumed by a v2 writer keeps its v1 header and v1 records
-  // and gains v2 records after them.
-  {
-    Result<RunJournal> journal = RunJournal::Open(path_, 6, false);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
-  }
-  std::string bytes = ReadAll(path_);
-  const auto frames = ListFrames(bytes);
-  ASSERT_EQ(frames.size(), 1u);
-  std::string v1 = bytes.substr(0, kHeaderSize);
-  v1[8] = 1;
-  v1 += ToV1Frame(bytes.substr(frames[0].first, frames[0].second));
-  WriteAll(path_, v1);
-
-  {
-    Result<RunJournal> resumed = RunJournal::Open(path_, 6, true);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    ASSERT_EQ(resumed->recovered().size(), 1u);
-    ASSERT_TRUE(resumed->Append(MakeRecord(1)).ok());  // a v2 record
-  }
-  Result<RunJournal> again = RunJournal::Open(path_, 6, true);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_EQ(again->recovered().size(), 2u);
-  EXPECT_EQ(again->recovered()[0], WithDefaultedCounters(MakeRecord(0)));
-  EXPECT_EQ(again->recovered()[1], MakeRecord(1));
-}
-
-// ------------------------------------------------------- v3 summaries ----
+// ------------------------------------------------------------ summaries ----
 
 RunSummary MakeSummary() {
   RunSummary s;
@@ -308,7 +204,6 @@ TEST_F(JournalTest, SummaryRoundTripsAndIsConsumedOnResume) {
   {
     Result<RunJournal> journal = RunJournal::Open(path_, 7, false);
     ASSERT_TRUE(journal.ok());
-    EXPECT_TRUE(journal->supports_summary());
     ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
     ASSERT_TRUE(journal->Append(MakeRecord(1)).ok());
     ASSERT_TRUE(journal->AppendSummary(MakeSummary()).ok());
@@ -382,51 +277,6 @@ TEST_F(JournalTest, TornSummaryFrameIsTruncatedLikeAnyTail) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed->recovered().size(), 1u);
   EXPECT_FALSE(resumed->recovered_summary().has_value());
-}
-
-TEST_F(JournalTest, V1FilesStayAtVersionOneAndRefuseSummaries) {
-  {
-    Result<RunJournal> journal = RunJournal::Open(path_, 11, false);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
-  }
-  std::string bytes = ReadAll(path_);
-  const auto frames = ListFrames(bytes);
-  ASSERT_EQ(frames.size(), 1u);
-  std::string v1 = bytes.substr(0, kHeaderSize);
-  v1[8] = 1;
-  v1 += ToV1Frame(bytes.substr(frames[0].first, frames[0].second));
-  WriteAll(path_, v1);
-
-  Result<RunJournal> resumed = RunJournal::Open(path_, 11, true);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_FALSE(resumed->supports_summary());
-  Status append = resumed->AppendSummary(MakeSummary());
-  EXPECT_EQ(append.code(), StatusCode::kFailedPrecondition);
-  // Records still append fine, and the header keeps its v1 version so older
-  // readers can continue to consume the file.
-  ASSERT_TRUE(resumed->Append(MakeRecord(1)).ok());
-  EXPECT_EQ(ReadU64At(ReadAll(path_), 8), 1u);
-}
-
-TEST_F(JournalTest, V2FilesRefuseSummariesToo) {
-  {
-    Result<RunJournal> journal = RunJournal::Open(path_, 12, false);
-    ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append(MakeRecord(0)).ok());
-  }
-  std::string bytes = ReadAll(path_);
-  bytes[8] = 2;  // a journal written by the v2 code
-  WriteAll(path_, bytes);
-
-  Result<RunJournal> resumed = RunJournal::Open(path_, 12, true);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed->recovered().size(), 1u);
-  EXPECT_EQ(resumed->recovered()[0], MakeRecord(0));
-  EXPECT_FALSE(resumed->supports_summary());
-  EXPECT_EQ(resumed->AppendSummary(MakeSummary()).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ReadU64At(ReadAll(path_), 8), 2u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <fstream>
@@ -19,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.h"
 #include "common/failpoint.h"
+#include "common/record_file.h"
 #include "core/kelpie.h"
 #include "models/model_store.h"
 #include "serve/line_protocol.h"
@@ -428,6 +431,53 @@ TEST_F(RelevanceCacheGoldenTest, ExplanationsAreByteIdenticalInEveryMode) {
           << "a corrupted entry must recompute to the same bytes";
     }
   }
+}
+
+TEST_F(RelevanceCacheGoldenTest, WrongLengthMimicsAreRecomputedNotRead) {
+  RelevanceCacheOptions options;
+  options.path = CachePath("wrong_length.kelprc");
+  options.fingerprint = ComputeModelFingerprint(*model_, 1234);
+  const std::string baseline = RunExplain(nullptr, 1, false);
+  {
+    auto cold = RelevanceCache::Open(options);
+    ASSERT_EQ(RunExplain(cold, 1, false), baseline);
+    ASSERT_TRUE(cold->Flush().ok());
+  }
+
+  // Rewrite every entry with a one-float mimic through the record-file
+  // writer: the header fingerprint matches and every frame verifies, only
+  // the stored vector is shorter than entity_dim().
+  Result<std::string> bytes = ReadWholeFile(options.path);
+  ASSERT_TRUE(bytes.ok());
+  uint32_t version = 0;
+  std::memcpy(&version, bytes->data() + 8, sizeof(version));
+  record_file::Reader reader({std::string_view(*bytes).substr(0, 8), version},
+                             *bytes);
+  ASSERT_EQ(reader.header(), record_file::HeaderOutcome::kOk);
+  std::string image = bytes->substr(0, record_file::kHeaderSize);
+  record_file::Frame frame;
+  size_t rewritten = 0;
+  while (reader.Next(frame)) {
+    ASSERT_EQ(frame.outcome, record_file::FrameOutcome::kOk);
+    // i32 entity | u32 num_facts | u32 dim | facts | dim floats
+    uint32_t num_facts = 0;
+    std::memcpy(&num_facts, frame.payload.data() + 4, sizeof(num_facts));
+    std::string payload(frame.payload.substr(0, 12 + 12 * num_facts));
+    const uint32_t one = 1;
+    std::memcpy(payload.data() + 8, &one, sizeof(one));
+    const float value = 0.25f;
+    payload.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    record_file::AppendFrame(image, frame.tag, payload);
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+  ASSERT_TRUE(WriteFileAtomic(options.path, image).ok());
+
+  auto wrong = RelevanceCache::Open(options);
+  ASSERT_EQ(wrong->stats().entries, rewritten);
+  EXPECT_EQ(RunExplain(wrong, 1, false), baseline)
+      << "a wrong-length cached mimic must be recomputed, never read";
+  EXPECT_GT(wrong->stats().hits, 0u) << "the short vectors were served";
 }
 
 }  // namespace

@@ -749,13 +749,10 @@ Status CmdUpdate(const Args& args) {
     return Status::InvalidArgument("--delta FILE is required");
   }
   const std::string delta_path = args.Get("delta");
-  std::ifstream delta_in(delta_path, std::ios::binary);
-  if (!delta_in) return Status::IoError("cannot open " + delta_path);
-  std::ostringstream delta_buffer;
-  delta_buffer << delta_in.rdbuf();
-  if (delta_in.bad()) return Status::IoError("cannot read " + delta_path);
+  Result<std::string> delta_text = ReadWholeFile(delta_path);
+  if (!delta_text.ok()) return delta_text.status();
   Result<xp::KgDelta> delta =
-      xp::ParseKgDelta(delta_buffer.str(), *dataset, delta_path);
+      xp::ParseKgDelta(*delta_text, *dataset, delta_path);
   if (!delta.ok()) return delta.status();
 
   xp::UpdateOptions options;
