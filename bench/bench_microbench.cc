@@ -94,9 +94,11 @@ void BM_NecessaryRelevance(benchmark::State& state) {
   RelevanceEngine engine(model, f.dataset, {});
   std::vector<Triple> facts = f.dataset.train_graph().FactsOf(f.probe.head);
   std::vector<Triple> candidate{facts.front()};
+  const int baseline =
+      engine.HomologousRank(f.probe.head, f.probe, PredictionTarget::kTail);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.NecessaryRelevance(
-        f.probe, PredictionTarget::kTail, candidate));
+        f.probe, PredictionTarget::kTail, candidate, baseline));
   }
 }
 BENCHMARK(BM_NecessaryRelevance)->Arg(0)->Arg(1)->Arg(2);

@@ -56,7 +56,6 @@ std::unique_ptr<serve::Server> MakeServer(
     std::shared_ptr<RelevanceCache> cache = nullptr) {
   serve::ServerOptions options;
   options.pool_size = pool_size;
-  options.dispatchers = pool_size;
   // The bench front-loads the whole workload, so admission must not shed:
   // an unbounded queue measures throughput rather than load-shedding policy.
   options.max_queue_depth = 0;

@@ -64,6 +64,9 @@ size_t RunKernelShap(RelevanceEngine& engine, const Triple& prediction,
   size_t evaluations = 0;
   const size_t round_size = 64;
   const double tolerance = 0.25;  // rank units
+  // One homologous baseline for every coalition, as in a Builder extraction.
+  const int baseline = engine.HomologousRank(prediction.head, prediction,
+                                             PredictionTarget::kTail);
 
   while (evaluations < max_evaluations) {
     for (size_t s = 0; s < round_size && evaluations < max_evaluations;
@@ -77,7 +80,7 @@ size_t RunKernelShap(RelevanceEngine& engine, const Triple& prediction,
       std::vector<Triple> coalition;
       for (size_t m : members) coalition.push_back(facts[m]);
       double value = engine.NecessaryRelevance(
-          prediction, PredictionTarget::kTail, coalition);
+          prediction, PredictionTarget::kTail, coalition, baseline);
       ++evaluations;
       double weight =
           static_cast<double>(k - 1) /

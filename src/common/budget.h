@@ -55,7 +55,8 @@ std::string_view CompletenessName(Completeness completeness);
 /// charges the full amount or nothing, so concurrent chargers can never
 /// overdraw. One unit = one non-homologous post-training: a necessary
 /// candidate costs 1, a sufficient candidate costs its conversion-set size.
-/// Homologous baselines are cached across candidates and are not charged.
+/// Homologous baselines are computed once per extraction and are not
+/// charged.
 class WorkBudget {
  public:
   static constexpr uint64_t kUnlimited =

@@ -184,35 +184,47 @@ std::vector<std::vector<size_t>> IndexCombinations(size_t n, size_t k) {
 Explanation ExplanationBuilder::BuildNecessary(
     const Triple& prediction, PredictionTarget target,
     const CandidateObserver& observer, const ExtractionControl& control) {
+  int baseline = 0;
+  auto baselines = [&] {
+    baseline = engine_.HomologousRank(SourceEntity(prediction, target),
+                                      prediction, target);
+  };
   auto relevance = [&](const std::vector<Triple>& candidate) {
-    return engine_.NecessaryRelevance(prediction, target, candidate);
+    return engine_.NecessaryRelevance(prediction, target, candidate,
+                                      baseline);
   };
   // One necessary candidate costs one non-homologous post-training.
   return Search(ExplanationKind::kNecessary, prediction, target,
-                options_.necessary_threshold, relevance, observer, control,
-                /*unit_cost=*/1);
+                options_.necessary_threshold, baselines, relevance, observer,
+                control, /*unit_cost=*/1);
 }
 
 Explanation ExplanationBuilder::BuildSufficient(
     const Triple& prediction, PredictionTarget target,
     const std::vector<EntityId>& conversion_set,
     const CandidateObserver& observer, const ExtractionControl& control) {
+  std::vector<int> baseline_ranks;
+  auto baselines = [&] {
+    baseline_ranks =
+        engine_.HomologousRanks(prediction, target, conversion_set);
+  };
   auto relevance = [&](const std::vector<Triple>& candidate) {
     return engine_.SufficientRelevance(prediction, target, candidate,
-                                       conversion_set);
+                                       conversion_set, baseline_ranks);
   };
   // One sufficient candidate post-trains a mimic per conversion entity.
   const uint64_t unit_cost =
       std::max<uint64_t>(1, static_cast<uint64_t>(conversion_set.size()));
   return Search(ExplanationKind::kSufficient, prediction, target,
-                options_.sufficient_threshold, relevance, observer, control,
-                unit_cost);
+                options_.sufficient_threshold, baselines, relevance, observer,
+                control, unit_cost);
 }
 
 Explanation ExplanationBuilder::Search(ExplanationKind kind,
                                        const Triple& prediction,
                                        PredictionTarget target,
                                        double threshold,
+                                       const std::function<void()>& baselines,
                                        const RelevanceFn& relevance,
                                        const CandidateObserver& observer,
                                        const ExtractionControl& control,
@@ -267,6 +279,10 @@ Explanation ExplanationBuilder::Search(ExplanationKind kind,
   }
   result.skipped_candidates += facts.size() - planned;
   stage_tallies[1].skipped += facts.size() - planned;
+
+  // The extraction's homologous baselines, computed once before its first
+  // candidate. An extraction that evaluates no candidate post-trains none.
+  if (planned > 0 && control.CheckInterrupt().ok()) baselines();
 
   std::vector<double> individual;
   Status interrupt_status;

@@ -100,8 +100,12 @@ class ExplanationBuilder {
  private:
   using RelevanceFn = std::function<double(const std::vector<Triple>&)>;
 
+  /// Runs Algorithm 3. `baselines` computes the extraction's homologous
+  /// baselines; it runs once, before `relevance` scores the first candidate,
+  /// and not at all when no candidate is evaluated.
   Explanation Search(ExplanationKind kind, const Triple& prediction,
                      PredictionTarget target, double threshold,
+                     const std::function<void()>& baselines,
                      const RelevanceFn& relevance,
                      const CandidateObserver& observer,
                      const ExtractionControl& control, uint64_t unit_cost);

@@ -59,8 +59,9 @@ Explanation Kelpie::ExplainSufficient(const Triple& prediction,
                                       std::vector<EntityId>* conversion_set_out,
                                       const CandidateObserver& observer,
                                       const ExtractionLimits& limits) {
+  Rng rng(engine_.options().seed);
   std::vector<EntityId> conversion_set =
-      engine_.SampleConversionSet(prediction, target);
+      engine_.SampleConversionSet(prediction, target, rng);
   if (conversion_set_out != nullptr) {
     *conversion_set_out = conversion_set;
   }

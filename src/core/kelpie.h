@@ -47,8 +47,10 @@ struct KelpieOptions {
 /// its dataset, and exposes the two extraction entry points.
 ///
 /// The model and dataset must outlive the Kelpie instance. One instance may
-/// explain any number of predictions; homologous-mimic caches are kept
-/// across calls (they are keyed by entity and query).
+/// explain any number of predictions, and no call depends on an earlier
+/// one: the same query returns the same Explanation whatever the instance
+/// explained before — `post_trainings` included, unless a relevance cache
+/// (RelevanceEngineOptions::relevance_cache) answers some of them.
 ///
 /// Typical use:
 ///
@@ -73,7 +75,8 @@ class Kelpie {
 
   /// Extracts the sufficient explanation of `prediction`: the smallest set
   /// of source-entity training facts that converts a random set C of other
-  /// entities to the same answer. The conversion set is sampled internally;
+  /// entities to the same answer. The conversion set is sampled internally
+  /// from a fresh `Rng(engine seed)`, so it depends on the query alone;
   /// pass `conversion_set_out` to retrieve it (e.g. for end-to-end
   /// verification).
   Explanation ExplainSufficient(const Triple& prediction,

@@ -34,8 +34,7 @@ namespace kelpie {
 /// fingerprint (held in the file header), the mimicked entity and a hash
 /// of the exact fact sequence, and every lookup verifies the stored
 /// (entity, facts) exactly — a 64-bit hash collision degrades to an
-/// uncached recompute, never to a wrong vector (the same
-/// no-silent-wrong-answers stance as the engine's exact-key rank cache).
+/// uncached recompute, never to a wrong vector.
 ///
 /// Persistence is *untrusted*. The file is a record file
 /// (common/record_file.h, magic KELPRC1) with the model fingerprint in its
@@ -154,8 +153,9 @@ class RelevanceCache {
 
  private:
   /// One cached mimic. Key fields are set once at insertion (under the
-  /// index lock) and immutable afterwards; `mimic` is published under `mu`
-  /// with `ready`/`done` exactly like the engine's rank-cache slots.
+  /// index lock) and immutable afterwards; `mimic` is published under `mu`:
+  /// the first thread to need it computes it while holding `mu`, latecomers
+  /// block on `mu`, and `done` tells a hit from a single-flight wait.
   struct Entry {
     std::mutex mu;
     bool ready = false;

@@ -84,10 +84,6 @@ RelevanceEngine::EngineMetrics RelevanceEngine::EngineMetrics::Resolve() {
   const char* post_help =
       "Post-trainings run, by mimic kind (raw work-site counts; "
       "schedule-dependent under parallel extraction).";
-  const char* cache_help =
-      "Homologous rank cache lookups by outcome: hit (already published), "
-      "miss (this lookup computed the baseline), wait (blocked behind the "
-      "computing thread).";
   return EngineMetrics{
       .post_train_homologous = reg.GetCounter(
           "kelpie_engine_post_trainings_total", {{"kind", "homologous"}},
@@ -98,29 +94,11 @@ RelevanceEngine::EngineMetrics RelevanceEngine::EngineMetrics::Resolve() {
       .post_train_sufficient = reg.GetCounter(
           "kelpie_engine_post_trainings_total", {{"kind", "sufficient"}},
           kWallClock, post_help),
-      .cache_hit = reg.GetCounter("kelpie_engine_rank_cache_total",
-                                  {{"event", "hit"}}, kWallClock, cache_help),
-      .cache_miss = reg.GetCounter("kelpie_engine_rank_cache_total",
-                                   {{"event", "miss"}}, kWallClock,
-                                   cache_help),
-      .cache_wait = reg.GetCounter("kelpie_engine_rank_cache_total",
-                                   {{"event", "wait"}}, kWallClock,
-                                   cache_help),
       .diverged = reg.GetCounter(
           "kelpie_engine_diverged_post_trainings_total", {}, kWallClock,
           "Post-trainings whose mimic came out non-finite (degraded to "
           "skip-and-record)."),
   };
-}
-
-size_t RelevanceEngine::RankKeyHash::operator()(const RankKey& k) const {
-  const uint64_t lo =
-      (static_cast<uint64_t>(static_cast<uint32_t>(k.entity)) << 32) |
-      static_cast<uint64_t>(static_cast<uint32_t>(k.relation));
-  const uint64_t hi =
-      (static_cast<uint64_t>(static_cast<uint32_t>(k.predicted)) << 32) |
-      static_cast<uint64_t>(static_cast<uint8_t>(k.direction));
-  return static_cast<size_t>(Mix64(Mix64(lo) ^ hi));
 }
 
 RelevanceEngine::RelevanceEngine(const LinkPredictionModel& model,
@@ -129,8 +107,7 @@ RelevanceEngine::RelevanceEngine(const LinkPredictionModel& model,
     : model_(model),
       dataset_(dataset),
       options_(options),
-      metrics_(EngineMetrics::Resolve()),
-      rng_(options.seed) {
+      metrics_(EngineMetrics::Resolve()) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -184,60 +161,45 @@ int RelevanceEngine::RankWithMimic(const Triple& prediction,
 
 int RelevanceEngine::HomologousRank(EntityId entity, const Triple& prediction,
                                     PredictionTarget target) {
-  const RankKey key{
-      entity, prediction.relation, PredictedEntity(prediction, target),
-      static_cast<int8_t>(target == PredictionTarget::kTail ? 0 : 1)};
-  // Shard on the top hash bits; the shard map re-hashes with the full
-  // function, which is fine (the bits it keeps differ).
-  CacheShard& shard = rank_cache_shards_[RankKeyHash{}(key) >> 60];
-  std::shared_ptr<RankCacheEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::shared_ptr<RankCacheEntry>& slot = shard.map[key];
-    if (!slot) slot = std::make_shared<RankCacheEntry>();
-    entry = slot;
+  if (options_.use_original_rank_baseline) {
+    // Ablation mode: compare non-homologous mimics against the original
+    // entity's rank directly (no baseline post-training).
+    return RankWithMimic(prediction, target, entity,
+                         model_.EntityEmbedding(entity));
   }
-  // A lookup that sees the published flag before taking the entry mutex is
-  // a plain cache hit; one that finds the result ready only after acquiring
-  // the mutex was blocked behind the computing thread (single-flight wait).
-  const bool published = entry->done.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (!entry->ready) {
-    metrics_.cache_miss.Increment();
-    if (options_.use_original_rank_baseline) {
-      // Ablation mode: compare non-homologous mimics against the original
-      // entity's rank directly (no baseline post-training).
-      entry->rank = RankWithMimic(prediction, target, entity,
-                                  model_.EntityEmbedding(entity));
-    } else {
-      std::vector<Triple> facts = dataset_.train_graph().FactsOf(entity);
-      std::vector<float> mimic = PostTrain(entity, facts);
-      metrics_.post_train_homologous.Increment();
-      // A divergent baseline poisons every candidate that shares it; cache
-      // the sentinel so they all degrade to skip-and-record without
-      // re-post-training the doomed mimic.
-      if (MimicDiverged(mimic)) {
-        metrics_.diverged.Increment();
-        entry->rank = kDivergedRank;
-      } else {
-        entry->rank = RankWithMimic(prediction, target, entity, mimic);
-      }
-    }
-    entry->ready = true;
-    entry->done.store(true, std::memory_order_release);
-  } else {
-    (published ? metrics_.cache_hit : metrics_.cache_wait).Increment();
+  std::vector<float> mimic =
+      PostTrain(entity, dataset_.train_graph().FactsOf(entity));
+  metrics_.post_train_homologous.Increment();
+  // A divergent baseline poisons every candidate that shares it: they all
+  // degrade to skip-and-record without re-post-training the doomed mimic.
+  if (MimicDiverged(mimic)) {
+    metrics_.diverged.Increment();
+    return kDivergedRank;
   }
-  return entry->rank;
+  return RankWithMimic(prediction, target, entity, mimic);
+}
+
+std::vector<int> RelevanceEngine::HomologousRanks(
+    const Triple& prediction, PredictionTarget target,
+    const std::vector<EntityId>& conversion_set) {
+  auto rank = [&](size_t i) {
+    return HomologousRank(conversion_set[i], prediction, target);
+  };
+  if (pool_ != nullptr && conversion_set.size() > 1) {
+    return ParallelMap(*pool_, conversion_set.size(), rank);
+  }
+  std::vector<int> out;
+  out.reserve(conversion_set.size());
+  for (size_t i = 0; i < conversion_set.size(); ++i) out.push_back(rank(i));
+  return out;
 }
 
 double RelevanceEngine::NecessaryRelevance(
     const Triple& prediction, PredictionTarget target,
-    const std::vector<Triple>& candidate) {
+    const std::vector<Triple>& candidate, int homologous_rank) {
   const EntityId source = SourceEntity(prediction, target);
-  // Algorithm 1, lines 1-2: homologous mimic h' on G^h_train and
-  // non-homologous mimic h'_{-X} on G^h_train \ X.
-  const int homologous_rank = HomologousRank(source, prediction, target);
+  // Algorithm 1, lines 1-2: homologous mimic h' on G^h_train (the caller's
+  // baseline) and non-homologous mimic h'_{-X} on G^h_train \ X.
   if (homologous_rank == kDivergedRank) return kDivergedRelevance;
   std::vector<Triple> facts = dataset_.train_graph().FactsOf(source);
   std::vector<Triple> reduced = WithoutFacts(facts, candidate);
@@ -255,13 +217,15 @@ double RelevanceEngine::NecessaryRelevance(
 double RelevanceEngine::SufficientRelevance(
     const Triple& prediction, PredictionTarget target,
     const std::vector<Triple>& candidate,
-    const std::vector<EntityId>& conversion_set) {
+    const std::vector<EntityId>& conversion_set,
+    const std::vector<int>& homologous_ranks) {
+  KELPIE_CHECK(homologous_ranks.size() == conversion_set.size());
   const EntityId source = SourceEntity(prediction, target);
   if (conversion_set.empty()) return 0.0;
   auto contribution = [&](size_t i) -> double {
     const EntityId c = conversion_set[i];
-    // Homologous mimic c' of the entity to convert.
-    const int base_rank = HomologousRank(c, prediction, target);
+    // Rank of the homologous mimic c' of the entity to convert.
+    const int base_rank = homologous_ranks[i];
     if (base_rank == kDivergedRank) return kDivergedRelevance;
     if (base_rank <= 1) {
       // Already converted (post-training fluctuation); the ideal
@@ -319,47 +283,39 @@ double RelevanceEngine::SufficientRelevance(
 }
 
 std::vector<EntityId> RelevanceEngine::SampleConversionSet(
-    const Triple& prediction, PredictionTarget target) {
-  return SampleConversionSet(prediction, target, rng_);
+    const Triple& prediction, PredictionTarget target, Rng& rng) const {
+  return SampleConversionEntities(model_, dataset_, prediction, target,
+                                  options_.conversion_set_size, rng);
 }
 
-std::vector<EntityId> RelevanceEngine::SampleConversionSet(
-    const Triple& prediction, PredictionTarget target, Rng& rng) {
+std::vector<EntityId> SampleConversionEntities(
+    const LinkPredictionModel& model, const Dataset& dataset,
+    const Triple& prediction, PredictionTarget target, size_t count,
+    Rng& rng) {
   const EntityId source = SourceEntity(prediction, target);
   const EntityId predicted = PredictedEntity(prediction, target);
   std::vector<EntityId> out;
-  const size_t n = dataset_.num_entities();
-  // Rejection-sample entities whose (unmodified) prediction of the target
-  // answer is not already rank 1 and that have at least one training fact.
+  const size_t n = dataset.num_entities();
   size_t attempts = 0;
-  const size_t max_attempts = 50 * options_.conversion_set_size + 200;
-  while (out.size() < options_.conversion_set_size &&
-         attempts < max_attempts) {
+  const size_t max_attempts = 50 * count + 200;
+  while (out.size() < count && attempts < max_attempts) {
     ++attempts;
     EntityId c = static_cast<EntityId>(rng.UniformUint64(n));
     if (c == source || c == predicted) continue;
     if (std::find(out.begin(), out.end(), c) != out.end()) continue;
-    if (dataset_.train_graph().Degree(c) == 0) continue;
+    if (dataset.train_graph().Degree(c) == 0) continue;
     Triple converted = prediction;
     if (target == PredictionTarget::kTail) {
       converted.head = c;
     } else {
       converted.tail = c;
     }
-    if (dataset_.IsKnown(converted)) continue;
-    int rank = FilteredRank(model_, dataset_, converted, target,
-                            RankingOptions{options_.quantized_shortlist});
-    if (rank <= 1) continue;  // model already predicts it; nothing to convert
+    if (dataset.IsKnown(converted)) continue;
+    // The model already predicts it: nothing to convert.
+    if (FilteredRank(model, dataset, converted, target) <= 1) continue;
     out.push_back(c);
   }
   return out;
-}
-
-void RelevanceEngine::ClearCaches() {
-  for (CacheShard& shard : rank_cache_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
 }
 
 }  // namespace kelpie

@@ -1,12 +1,10 @@
 #ifndef KELPIE_CORE_RELEVANCE_ENGINE_H_
 #define KELPIE_CORE_RELEVANCE_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/metrics.h"
@@ -20,8 +18,8 @@
 
 namespace kelpie {
 
-/// Sentinel rank cached for a homologous baseline whose post-training
-/// diverged (non-finite mimic): real ranks are always >= 1.
+/// Sentinel rank of a homologous baseline whose post-training diverged
+/// (non-finite mimic): real ranks are always >= 1.
 inline constexpr int kDivergedRank = -1;
 
 /// Relevance reported for a candidate whose post-training diverged. A quiet
@@ -68,10 +66,9 @@ struct RelevanceEngineOptions {
   /// be opened with a warm-specific fingerprint (the CLI salts it) to keep
   /// cold and warm entries from mixing.
   bool warm_start_mimics = false;
-  /// Serve every filtered rank the engine computes (mimic ranks, conversion
-  /// set sampling) through the certified int8 shortlist. Byte-identical to
-  /// the exact sweep (RankingOptions::quantized_shortlist), so relevances
-  /// and explanations are unchanged.
+  /// Serve the engine's mimic ranks through the certified int8 shortlist.
+  /// Byte-identical to the exact sweep (RankingOptions::quantized_shortlist),
+  /// so relevances and explanations are unchanged.
   bool quantized_shortlist = false;
 };
 
@@ -92,30 +89,44 @@ struct RelevanceEngineOptions {
 /// (Algorithm 2) is the mean achieved fraction of the ideal rank
 /// improvement over the conversion set C.
 ///
-/// Homologous mimics and their ranks are cached: one explanation extraction
-/// evaluates many candidates against the same baseline. The cache is
-/// mutex-sharded with single-flight computation, so concurrent candidates
-/// sharing a baseline never post-train it twice.
+/// Homologous baselines belong to one extraction: the Explanation Builder
+/// computes them once, before its first candidate, and passes them to every
+/// relevance call. The engine keeps no state between calls besides its
+/// post-training counter; cross-request reuse lives in RelevanceCache.
 ///
-/// Thread safety: NecessaryRelevance, SufficientRelevance and RankWithMimic
-/// may be called concurrently (the Explanation Builder does so when
-/// num_threads > 1). SampleConversionSet and ClearCaches are not
-/// thread-safe and must be called from a single thread between evaluation
-/// waves.
+/// Thread safety: every member may be called concurrently (the Explanation
+/// Builder does so when num_threads > 1).
 class RelevanceEngine {
  public:
   RelevanceEngine(const LinkPredictionModel& model, const Dataset& dataset,
                   RelevanceEngineOptions options);
 
+  /// The homologous baseline of `entity` for `prediction`: the filtered rank
+  /// of the predicted entity when `entity` is represented by a mimic
+  /// post-trained on its unchanged facts G^e_train (the original entity's
+  /// rank, without post-training, under use_original_rank_baseline).
+  /// kDivergedRank when that post-training diverged.
+  int HomologousRank(EntityId entity, const Triple& prediction,
+                     PredictionTarget target);
+
+  /// HomologousRank of every entity of `conversion_set`, in set order; the
+  /// post-trainings run across the pool when num_threads > 1.
+  std::vector<int> HomologousRanks(const Triple& prediction,
+                                   PredictionTarget target,
+                                   const std::vector<EntityId>& conversion_set);
+
   /// Algorithm 1: expected rank deterioration when removing `candidate`
-  /// from the source entity. Range [0, |E| - 1]; larger = more relevant.
-  /// Returns kDivergedRelevance (NaN) when a post-training involved
-  /// diverged — including via the `engine.post_train.diverge` failpoint.
+  /// from the source entity, against the source's `homologous_rank`. Range
+  /// [0, |E| - 1]; larger = more relevant. Returns kDivergedRelevance (NaN)
+  /// when the baseline or the removal post-training diverged — including
+  /// via the `engine.post_train.diverge` failpoint.
   double NecessaryRelevance(const Triple& prediction, PredictionTarget target,
-                            const std::vector<Triple>& candidate);
+                            const std::vector<Triple>& candidate,
+                            int homologous_rank);
 
   /// Algorithm 2: mean ratio of achieved over ideal rank improvement when
-  /// adding `candidate` (transferred) to every entity of `conversion_set`.
+  /// adding `candidate` (transferred) to every entity of `conversion_set`,
+  /// against their `homologous_ranks` (HomologousRanks of the same set).
   /// Typically in [0, 1]; can be negative when the facts hurt. The
   /// per-entity post-trainings run across the pool when num_threads > 1;
   /// contributions are accumulated in conversion-set order, so the result
@@ -124,23 +135,15 @@ class RelevanceEngine {
   double SufficientRelevance(const Triple& prediction,
                              PredictionTarget target,
                              const std::vector<Triple>& candidate,
-                             const std::vector<EntityId>& conversion_set);
+                             const std::vector<EntityId>& conversion_set,
+                             const std::vector<int>& homologous_ranks);
 
-  /// Draws the conversion set C for a prediction: random entities c whose
-  /// prediction <c, r, t> (tail scenario; symmetric for heads) has rank
-  /// greater than 1, i.e. the model does not already predict them.
+  /// Draws the conversion set C for a prediction from `rng`: up to
+  /// conversion_set_size entities, via SampleConversionEntities. A fresh
+  /// `Rng(options().seed)` draws the set Kelpie::ExplainSufficient uses.
   std::vector<EntityId> SampleConversionSet(const Triple& prediction,
-                                            PredictionTarget target);
-
-  /// SampleConversionSet drawing from a caller-provided RNG instead of the
-  /// engine's member stream. A long-lived engine (a serving-pool instance)
-  /// passes a fresh `Rng(options().seed)` per request to draw exactly the
-  /// set a fresh engine's first SampleConversionSet call would draw — the
-  /// member-stream variant advances `rng_` across calls, so its Nth request
-  /// would diverge from a one-shot process. Same single-threaded contract
-  /// as SampleConversionSet.
-  std::vector<EntityId> SampleConversionSet(const Triple& prediction,
-                                            PredictionTarget target, Rng& rng);
+                                            PredictionTarget target,
+                                            Rng& rng) const;
 
   const RelevanceEngineOptions& options() const { return options_; }
 
@@ -155,10 +158,6 @@ class RelevanceEngine {
     return post_training_count_.load(std::memory_order_relaxed);
   }
 
-  /// Drops the homologous-mimic caches (used between unrelated
-  /// predictions to bound memory).
-  void ClearCaches();
-
   /// The worker pool shared with the Explanation Builder; nullptr when
   /// num_threads <= 1 (sequential mode).
   ThreadPool* pool() { return pool_.get(); }
@@ -169,60 +168,17 @@ class RelevanceEngine {
   const Dataset& dataset() const { return dataset_; }
 
  private:
-  /// Cache key of a homologous rank: the baseline only depends on the
-  /// entity and the query (relation + predicted entity + direction), never
-  /// on the candidate, because the homologous fact set is always G^e_train.
-  /// Keying on the full struct (with exact equality) rules out the silent
-  /// wrong-rank answers a collapsed 64-bit hash key could produce.
-  struct RankKey {
-    EntityId entity;
-    RelationId relation;
-    EntityId predicted;
-    int8_t direction;  // 0 = tail prediction, 1 = head prediction
-
-    bool operator==(const RankKey&) const = default;
-  };
-
-  struct RankKeyHash {
-    size_t operator()(const RankKey& k) const;
-  };
-
-  /// Single-flight cache slot: the first thread to need a baseline computes
-  /// it under the entry mutex; latecomers block on that mutex instead of
-  /// duplicating the post-training. `done` distinguishes a hit (the result
-  /// was already published when the lookup started) from a single-flight
-  /// wait (blocked behind the computing thread) for the cache counters.
-  struct RankCacheEntry {
-    std::mutex mu;
-    bool ready = false;
-    int rank = 0;
-    std::atomic<bool> done{false};
-  };
-
-  struct CacheShard {
-    std::mutex mu;
-    std::unordered_map<RankKey, std::shared_ptr<RankCacheEntry>, RankKeyHash>
-        map;
-  };
-
-  static constexpr size_t kCacheShards = 16;
-
   /// Post-trains a mimic of `entity` on `facts` and counts it. The RNG
   /// stream is derived from (options_.seed, entity, facts) alone, making
   /// the mimic independent of both call order and thread schedule.
   std::vector<float> PostTrain(EntityId entity,
                                const std::vector<Triple>& facts);
 
-  /// Cached homologous mimic rank for (entity, prediction); thread-safe
-  /// with single-flight computation.
-  int HomologousRank(EntityId entity, const Triple& prediction,
-                     PredictionTarget target);
-
   /// Registry handles, resolved once at construction (cold, locked lookup)
   /// and incremented lock-free at the work sites. All engine counters are
   /// metrics::Determinism::kWallClock: under parallel extraction the
-  /// builder evaluates candidates speculatively, so raw post-training and
-  /// cache totals are schedule-dependent (they are exact — and covered by
+  /// builder evaluates candidates speculatively, so raw post-training
+  /// totals are schedule-dependent (they are exact — and covered by
   /// exact-value tests — when num_threads is 1). The schedule-invariant
   /// work accounting lives in the Explanation Builder's counters, which are
   /// committed during its sequential replay.
@@ -230,9 +186,6 @@ class RelevanceEngine {
     metrics::Counter& post_train_homologous;
     metrics::Counter& post_train_necessary;
     metrics::Counter& post_train_sufficient;
-    metrics::Counter& cache_hit;
-    metrics::Counter& cache_miss;
-    metrics::Counter& cache_wait;
     metrics::Counter& diverged;
 
     static EngineMetrics Resolve();
@@ -242,12 +195,19 @@ class RelevanceEngine {
   const Dataset& dataset_;
   RelevanceEngineOptions options_;
   EngineMetrics metrics_;
-  /// Only used by SampleConversionSet (single-threaded by contract).
-  Rng rng_;
   std::atomic<size_t> post_training_count_{0};
-  std::array<CacheShard, kCacheShards> rank_cache_shards_;
   std::unique_ptr<ThreadPool> pool_;
 };
+
+/// Samples up to `count` entities c (with at least one training fact) for
+/// which the converted prediction <c, r, t> (tail scenario; symmetric for
+/// heads) is neither a known fact nor already rank 1 — the conversion set C
+/// of the sufficient scenario, shared by all frameworks in the end-to-end
+/// pipeline. Gives up after 50 * count + 200 draws from `rng`.
+std::vector<EntityId> SampleConversionEntities(
+    const LinkPredictionModel& model, const Dataset& dataset,
+    const Triple& prediction, PredictionTarget target, size_t count,
+    Rng& rng);
 
 }  // namespace kelpie
 

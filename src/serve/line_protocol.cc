@@ -1,7 +1,10 @@
 #include "serve/line_protocol.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/metrics.h"
@@ -179,10 +182,16 @@ Result<double> ReadDouble(const std::map<std::string, FlatValue>& fields,
   }
   const std::string& raw = it->second.text;
   char* end = nullptr;
+  errno = 0;
   double value = std::strtod(raw.c_str(), &end);
   if (end != raw.c_str() + raw.size()) {
     return Status::InvalidArgument("field '" + key + "': bad number '" + raw +
                                    "'");
+  }
+  // strtod saturates to +-HUGE_VAL (an infinite timeout) or flushes to zero.
+  if (errno == ERANGE || !std::isfinite(value)) {
+    return Status::InvalidArgument("field '" + key + "': number '" + raw +
+                                   "' is out of range");
   }
   return value;
 }
@@ -198,10 +207,16 @@ Result<uint64_t> ReadU64(const std::map<std::string, FlatValue>& fields,
   }
   const std::string& raw = it->second.text;
   char* end = nullptr;
+  errno = 0;
   uint64_t value = std::strtoull(raw.c_str(), &end, 10);
   if (end != raw.c_str() + raw.size()) {
     return Status::InvalidArgument("field '" + key + "': bad integer '" +
                                    raw + "'");
+  }
+  // strtoull saturates to 2^64 - 1, an id the client never sent.
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("field '" + key + "': integer '" + raw +
+                                   "' is out of range");
   }
   return value;
 }
@@ -366,7 +381,9 @@ uint64_t PeekLineId(std::string_view line) {
   uint64_t id = 0;
   while (pos < line.size() &&
          std::isdigit(static_cast<unsigned char>(line[pos]))) {
-    id = id * 10 + static_cast<uint64_t>(line[pos] - '0');
+    const uint64_t digit = static_cast<uint64_t>(line[pos] - '0');
+    if (id > (std::numeric_limits<uint64_t>::max() - digit) / 10) return 0;
+    id = id * 10 + digit;
     ++pos;
   }
   return id;

@@ -58,7 +58,9 @@ struct LineRequest {
   double shed_after_seconds = -1.0;
 };
 
-/// Parses one request line. Errors name the offending key or byte offset.
+/// Parses one request line. Errors name the offending key or byte offset;
+/// a number outside its field's range (an integer past 2^64 - 1, a double
+/// that overflows or underflows) is an error, never a saturated value.
 Result<LineRequest> ParseRequestLine(std::string_view line);
 
 /// Response renderers. Every renderer returns a complete line *without* the
@@ -93,7 +95,8 @@ std::string HealthResponseLine(uint64_t id, bool draining, bool warm_mimics,
 std::string ShutdownResponseLine(uint64_t id);
 
 /// Extracts the "id" field of a response (or request) line without a full
-/// parse; 0 when absent. The client uses it to order collected responses.
+/// parse; 0 when absent or out of range. The client uses it to order
+/// collected responses.
 uint64_t PeekLineId(std::string_view line);
 
 }  // namespace serve

@@ -16,23 +16,15 @@ namespace serve {
 
 /// A pool of N independently loaded model instances, each paired with its
 /// own Kelpie facade, dispatched round-robin with per-instance locking.
-///
-/// Why N copies instead of one shared instance: extraction mutates
-/// per-instance state (the engine's homologous-rank cache, its conversion
-/// sampler) and each Kelpie owns its own worker pool, so instances must be
-/// used by one request batch at a time. Locking one global instance would
-/// serialize the whole server; N instances give N concurrent extractions
-/// while every instance still sees single-threaded use (the engine's
-/// internal parallelism — num_threads — lives *inside* a lease).
+/// Each instance serves one request batch at a time; its extraction threads
+/// (num_threads) run inside a lease.
 ///
 /// Every instance is loaded from the same model file, so all N are
 /// bitwise-identical parameter sets and every deterministic query returns
 /// identical bytes no matter which instance serves it — the property the
-/// serving layer's golden tests pin.
-///
-/// Homologous-mimic caches are kept per instance across leases: cached
-/// entries are pure functions of (parameters, entity, query, engine seed),
-/// so reuse changes latency, never results.
+/// serving layer's golden tests pin. No result depends on what an instance
+/// served before; the shared RelevanceCache, if any, is the only
+/// cross-request reuse.
 class ModelPool {
  public:
   struct Instance {

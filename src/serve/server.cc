@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/trace.h"
-#include "math/rng.h"
 
 namespace kelpie {
 namespace serve {
@@ -67,10 +66,8 @@ Server::Server(const Dataset& dataset, const ServerOptions& options,
       queue_(options.max_queue_depth),
       metrics_(ServeMetrics::Resolve()),
       paused_(options.start_paused) {
-  const size_t dispatchers =
-      options_.dispatchers > 0 ? options_.dispatchers : options_.pool_size;
-  dispatchers_.reserve(dispatchers);
-  for (size_t i = 0; i < dispatchers; ++i) {
+  dispatchers_.reserve(options_.pool_size);
+  for (size_t i = 0; i < options_.pool_size; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });
   }
 }
@@ -233,15 +230,9 @@ void Server::ExecuteExplain(ModelPool::Lease& lease, PendingExplain pending) {
   Kelpie& kelpie = lease.kelpie();
   try {
     if (pending.request.kind == ExplanationKind::kSufficient) {
-      // Fresh seed-derived stream per request: a one-shot process samples
-      // its conversion set from a fresh engine, and the pooled instance
-      // must match it byte-for-byte regardless of what it served before.
-      Rng rng(kelpie.engine().options().seed);
-      result.conversion_set = kelpie.engine().SampleConversionSet(
-          pending.request.prediction, pending.request.target, rng);
-      result.explanation = kelpie.ExplainSufficientWithSet(
+      result.explanation = kelpie.ExplainSufficient(
           pending.request.prediction, pending.request.target,
-          result.conversion_set, nullptr, limits);
+          &result.conversion_set, nullptr, limits);
     } else {
       result.explanation = kelpie.ExplainNecessary(
           pending.request.prediction, pending.request.target, nullptr, limits);

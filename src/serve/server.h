@@ -24,7 +24,7 @@ namespace serve {
 /// -----------------------------------------------------------------------
 /// Kelpie-as-a-service: the in-process serving layer (DESIGN.md §12).
 ///
-/// One bounded RequestQueue feeds `dispatchers` worker threads. Each
+/// One bounded RequestQueue feeds `pool_size` dispatcher threads. Each
 /// dispatcher pops a coalesced batch of requests, acquires a ModelPool
 /// lease (round-robin, per-instance lock) and executes the batch on that
 /// instance. Admission control is built on the PR 3 budget machinery:
@@ -34,20 +34,18 @@ namespace serve {
 ///
 /// Determinism contract: for any request, the response bytes equal what a
 /// fresh one-shot process would produce for the same query at any pool
-/// size, dispatcher count, or thread count. Pool instances are loaded from
-/// one model file (bitwise-identical parameters); extraction is
-/// thread-count-invariant (DESIGN.md §7); conversion sets are sampled per
-/// request from a fresh seed-derived stream; and wall-clock fields are
-/// excluded from responses. The golden test in tests/serve_test.cc replays
-/// a mixed concurrent workload and byte-compares against sequential
-/// execution.
+/// size or thread count. Pool instances are loaded from one model file
+/// (bitwise-identical parameters); extraction is thread-count-invariant
+/// (DESIGN.md §7) and keeps no state between requests; and wall-clock
+/// fields are excluded from responses. The golden test in
+/// tests/serve_test.cc replays a mixed concurrent workload and
+/// byte-compares against sequential execution.
 /// -----------------------------------------------------------------------
 
 struct ServerOptions {
-  /// Model instances in the pool (concurrent extractions).
+  /// Model instances in the pool, and dispatcher threads pulling batches
+  /// (concurrent extractions).
   size_t pool_size = 2;
-  /// Dispatcher threads pulling batches; 0 = pool_size.
-  size_t dispatchers = 0;
   /// Queued requests beyond this are shed with kUnavailable; 0 = unbounded.
   size_t max_queue_depth = 256;
   /// Most requests coalesced into one batch (one pool lease); 0 = no cap.

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -127,16 +128,40 @@ Status TcpServer::Start() {
 }
 
 void TcpServer::Run() {
-  std::vector<std::thread> connections;
+  /// A connection's handler thread and the flag it raises as it exits, so
+  /// the accept loop can join it without blocking. List nodes never move,
+  /// so the thread may keep a reference to its own flag.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::list<Handler> handlers;
+  // An exited handler keeps its stack mapped until it is joined, so join
+  // finished ones at every wake-up instead of at shutdown.
+  auto join_finished = [&] {
+    std::erase_if(handlers, [](Handler& h) {
+      if (!h.finished.load(std::memory_order_acquire)) return false;
+      h.thread.join();
+      return true;
+    });
+    unjoined_handlers_.store(handlers.size(), std::memory_order_relaxed);
+  };
   while (!shutdown_requested()) {
+    join_finished();
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flags
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back([this, fd] { HandleConnection(fd); });
+    Handler& handler = handlers.emplace_back();
+    handler.thread = std::thread([this, fd, &handler] {
+      HandleConnection(fd);
+      handler.finished.store(true, std::memory_order_release);
+    });
+    unjoined_handlers_.store(handlers.size(), std::memory_order_relaxed);
   }
-  for (std::thread& t : connections) t.join();
+  for (Handler& h : handlers) h.thread.join();
+  unjoined_handlers_.store(0, std::memory_order_relaxed);
 }
 
 void TcpServer::HandleLine(const std::string& line, ConnectionPipeline& out) {

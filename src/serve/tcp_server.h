@@ -58,6 +58,13 @@ class TcpServer {
            options_.cancel.cancelled();
   }
 
+  /// Connection handler threads started and not yet joined, as of the
+  /// accept loop's last wake-up (it wakes at least every 100 ms and joins
+  /// the handlers whose connection has closed).
+  size_t unjoined_handlers() const {
+    return unjoined_handlers_.load(std::memory_order_relaxed);
+  }
+
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
@@ -70,6 +77,7 @@ class TcpServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stop_{false};
+  std::atomic<size_t> unjoined_handlers_{0};
 };
 
 }  // namespace serve

@@ -204,35 +204,6 @@ std::vector<Triple> SampleCorrectTailPredictions(
                                   PredictionTarget::kTail, rng);
 }
 
-std::vector<EntityId> SampleConversionEntities(
-    const LinkPredictionModel& model, const Dataset& dataset,
-    const Triple& prediction, PredictionTarget target, size_t count,
-    Rng& rng) {
-  const EntityId source = SourceEntity(prediction, target);
-  const EntityId predicted = PredictedEntity(prediction, target);
-  std::vector<EntityId> out;
-  const size_t n = dataset.num_entities();
-  size_t attempts = 0;
-  const size_t max_attempts = 50 * count + 200;
-  while (out.size() < count && attempts < max_attempts) {
-    ++attempts;
-    EntityId c = static_cast<EntityId>(rng.UniformUint64(n));
-    if (c == source || c == predicted) continue;
-    if (std::find(out.begin(), out.end(), c) != out.end()) continue;
-    if (dataset.train_graph().Degree(c) == 0) continue;
-    Triple converted = prediction;
-    if (target == PredictionTarget::kTail) {
-      converted.head = c;
-    } else {
-      converted.tail = c;
-    }
-    if (dataset.IsKnown(converted)) continue;
-    if (FilteredRank(model, dataset, converted, target) <= 1) continue;
-    out.push_back(c);
-  }
-  return out;
-}
-
 LpMetrics RetrainAndMeasure(ModelKind kind, const Dataset& dataset,
                             const std::vector<Triple>& predictions,
                             const std::vector<Triple>& removed,

@@ -7,6 +7,7 @@
 #include "baselines/explainer.h"
 #include "common/budget.h"
 #include "common/result.h"
+#include "core/relevance_engine.h"  // SampleConversionEntities
 #include "eval/evaluator.h"
 #include "math/rng.h"
 #include "models/factory.h"
@@ -36,14 +37,6 @@ std::vector<Triple> SampleCorrectPredictions(
 /// Tail-direction convenience wrapper.
 std::vector<Triple> SampleCorrectTailPredictions(
     const LinkPredictionModel& model, const Dataset& dataset, size_t count,
-    Rng& rng);
-
-/// Samples `count` entities c (with at least one training fact) for which
-/// the converted prediction is not already rank 1 and not a known fact —
-/// the conversion set C shared by all frameworks.
-std::vector<EntityId> SampleConversionEntities(
-    const LinkPredictionModel& model, const Dataset& dataset,
-    const Triple& prediction, PredictionTarget target, size_t count,
     Rng& rng);
 
 /// Warm-start policy of end-to-end verification retrains. Default (empty
@@ -166,12 +159,7 @@ struct RunControl {
   /// instead of replayed, and the journal is rewritten in place (complete
   /// records re-appended byte-identically). An upgrade run with larger
   /// limits thus converges to the journal an uninterrupted run would have
-  /// produced — exactly for the explanation content (facts, relevance,
-  /// completeness, the resulting metrics); the `post_trainings` cost
-  /// counter of a *re-extracted* record can differ when predictions share
-  /// relevance-engine baseline-cache entries, because the uninterrupted
-  /// run extracted with a cache warmed by the predictions the retry run
-  /// merely replays.
+  /// produced, byte for byte.
   bool retry_truncated = false;
   /// Warm-start policy of the run's verification retrains. Non-default
   /// options are folded into the journal run id (cold runs keep their

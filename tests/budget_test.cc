@@ -263,17 +263,16 @@ TEST_F(BoundedExtractionTest, GenerousLimitsMatchUnboundedRunBitForBit) {
   KelpieOptions options;
   options.num_threads = 1;
 
-  // Fresh instances for each run: the engine caches homologous baselines
-  // across calls, which would skew the post_trainings comparison.
-  Kelpie plain(*model_, *dataset_, options);
+  // One instance for both runs: no extraction depends on an earlier one,
+  // post_trainings included.
+  Kelpie kelpie(*model_, *dataset_, options);
   Explanation unbounded =
-      plain.ExplainNecessary(prediction, PredictionTarget::kTail);
+      kelpie.ExplainNecessary(prediction, PredictionTarget::kTail);
 
-  Kelpie limited(*model_, *dataset_, options);
   ExtractionLimits limits;
   limits.work_budget = 1'000'000;
   limits.timeout_seconds = 3600.0;
-  Explanation bounded = limited.ExplainNecessary(
+  Explanation bounded = kelpie.ExplainNecessary(
       prediction, PredictionTarget::kTail, nullptr, limits);
 
   ExpectSameScheduleInvariantFields(unbounded, bounded);
@@ -530,21 +529,20 @@ TEST_F(RetryTruncatedTest, UpgradeConvergesToUninterruptedRun) {
   ASSERT_LT(incomplete, predictions_.size())
       << "the single-candidate prediction was expected to complete";
 
-  // Reference: an uninterrupted unlimited run in a fresh process (fresh
-  // explainer = cold caches, as a real re-invocation would have).
-  KelpieExplainer reference(*model_, *dataset_, options);
+  // Reference: an uninterrupted unlimited run.
+  KelpieExplainer unlimited(*model_, *dataset_, options);
   Result<NecessaryRunResult> full = RunNecessaryEndToEndResumable(
-      reference, ModelKind::kComplEx, *dataset_, predictions_, 7,
+      unlimited, ModelKind::kComplEx, *dataset_, predictions_, 7,
       PredictionTarget::kTail, {Journal("full.jnl"), false});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   // Upgrade pass: resume the truncated journal with retry under unlimited
-  // limits, again with a fresh explainer.
-  KelpieExplainer upgraded(*model_, *dataset_, options);
+  // limits. The explainer that just ran the reference is reused: what it
+  // extracted before cannot change what it extracts now.
   RunControl control;
   control.retry_truncated = true;
   Result<NecessaryRunResult> retried = RunNecessaryEndToEndResumable(
-      upgraded, ModelKind::kComplEx, *dataset_, predictions_, 7,
+      unlimited, ModelKind::kComplEx, *dataset_, predictions_, 7,
       PredictionTarget::kTail, {Journal("run.jnl"), true}, control);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
 

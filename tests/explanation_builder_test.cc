@@ -134,8 +134,9 @@ TEST_F(BuilderTest, ObserverSeesEveryVisitedCandidate) {
 
 TEST_F(BuilderTest, SufficientExplanationConvertsRanks) {
   ASSERT_TRUE(found_);
+  Rng rng(engine_->options().seed);
   std::vector<EntityId> conversion_set =
-      engine_->SampleConversionSet(prediction_, PredictionTarget::kTail);
+      engine_->SampleConversionSet(prediction_, PredictionTarget::kTail, rng);
   ASSERT_FALSE(conversion_set.empty());
   ExplanationBuilderOptions options;
   options.sufficient_threshold = 0.5;

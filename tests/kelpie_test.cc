@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/ranking.h"
+#include "math/rng.h"
 #include "tests/test_util.h"
 
 namespace kelpie {
@@ -93,13 +94,49 @@ TEST_P(KelpieTest, SufficientExplanationExtracted) {
 TEST_P(KelpieTest, ExplainWithProvidedConversionSet) {
   if (!found_) GTEST_SKIP();
   Kelpie kelpie(*model_, *dataset_, FastOptions());
-  std::vector<EntityId> set =
-      kelpie.engine().SampleConversionSet(prediction_,
-                                          PredictionTarget::kTail);
+  Rng rng(kelpie.engine().options().seed);
+  std::vector<EntityId> set = kelpie.engine().SampleConversionSet(
+      prediction_, PredictionTarget::kTail, rng);
   if (set.empty()) GTEST_SKIP();
   Explanation x = kelpie.ExplainSufficientWithSet(
       prediction_, PredictionTarget::kTail, set);
   EXPECT_FALSE(x.empty());
+}
+
+// No extraction depends on an earlier one: the same query on one instance
+// returns the same Explanation every time, post_trainings included, at any
+// thread count.
+TEST_P(KelpieTest, RepeatedQueryReturnsIdenticalExplanation) {
+  if (!found_) GTEST_SKIP();
+  auto expect_identical = [](const Explanation& a, const Explanation& b) {
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.facts, b.facts);
+    EXPECT_EQ(a.relevance, b.relevance);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.post_trainings, b.post_trainings);
+    EXPECT_EQ(a.visited_candidates, b.visited_candidates);
+    EXPECT_EQ(a.completeness, b.completeness);
+    EXPECT_EQ(a.skipped_candidates, b.skipped_candidates);
+    EXPECT_EQ(a.divergent_candidates, b.divergent_candidates);
+  };
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    KelpieOptions options = FastOptions();
+    options.num_threads = threads;
+    Kelpie kelpie(*model_, *dataset_, options);
+    const Explanation necessary = kelpie.ExplainNecessary(prediction_);
+    EXPECT_GT(necessary.post_trainings, 0u);
+    expect_identical(necessary, kelpie.ExplainNecessary(prediction_));
+
+    std::vector<EntityId> first_set, second_set;
+    const Explanation sufficient = kelpie.ExplainSufficient(
+        prediction_, PredictionTarget::kTail, &first_set);
+    expect_identical(sufficient,
+                     kelpie.ExplainSufficient(prediction_,
+                                              PredictionTarget::kTail,
+                                              &second_set));
+    EXPECT_EQ(first_set, second_set);
+  }
 }
 
 TEST_P(KelpieTest, HeadPredictionExplained) {

@@ -86,9 +86,10 @@ TEST_F(ParallelDeterminismTest, NecessaryIdenticalAcrossThreadCounts) {
 TEST_F(ParallelDeterminismTest, SufficientIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(found_);
   Kelpie sequential(*model_, *dataset_, DeepSearchOptions(1));
+  Rng rng(sequential.engine().options().seed);
   std::vector<EntityId> conversion_set =
       sequential.engine().SampleConversionSet(prediction_,
-                                              PredictionTarget::kTail);
+                                              PredictionTarget::kTail, rng);
   if (conversion_set.empty()) {
     GTEST_SKIP() << "no convertible entities for this prediction";
   }

@@ -54,6 +54,32 @@ TEST_F(PipelineTest, ConversionEntitiesNotAlreadyPredicted) {
   }
 }
 
+// The engine's sampler and the pipeline's are one rejection loop: the same
+// seed draws the same conversion set through either, in both prediction
+// directions, whatever the engine's ranking options.
+TEST_F(PipelineTest, EngineAndPipelineSampleTheSameConversionSet) {
+  Rng rng(5);
+  std::vector<Triple> sample =
+      SampleCorrectTailPredictions(*model_, *dataset_, 1, rng);
+  ASSERT_FALSE(sample.empty());
+  RelevanceEngineOptions options;
+  options.conversion_set_size = 4;
+  options.quantized_shortlist = true;
+  RelevanceEngine engine(*model_, *dataset_, options);
+  for (PredictionTarget target :
+       {PredictionTarget::kTail, PredictionTarget::kHead}) {
+    Rng engine_rng(11), pipeline_rng(11);
+    const std::vector<EntityId> from_engine =
+        engine.SampleConversionSet(sample[0], target, engine_rng);
+    EXPECT_FALSE(from_engine.empty());
+    EXPECT_EQ(from_engine,
+              SampleConversionEntities(*model_, *dataset_, sample[0], target,
+                                       4, pipeline_rng));
+    // Both consumed the same draws.
+    EXPECT_EQ(engine_rng.NextUint64(), pipeline_rng.NextUint64());
+  }
+}
+
 TEST_F(PipelineTest, RetrainAndMeasureRemovalHurtsPredictions) {
   Rng rng(7);
   std::vector<Triple> sample =

@@ -335,13 +335,21 @@ TEST(QuantExactnessTest, RelevanceAndConversionSetsByteIdentical) {
   RelevanceEngine engine_on(model, dataset, quant_on);
   RelevanceEngine engine_off(model, dataset, quant_off);
 
+  Rng rng_on(quant_on.seed);
+  Rng rng_off(quant_off.seed);
   EXPECT_EQ(
-      engine_on.SampleConversionSet(prediction, PredictionTarget::kTail),
-      engine_off.SampleConversionSet(prediction, PredictionTarget::kTail));
+      engine_on.SampleConversionSet(prediction, PredictionTarget::kTail,
+                                    rng_on),
+      engine_off.SampleConversionSet(prediction, PredictionTarget::kTail,
+                                     rng_off));
   const double rel_on = engine_on.NecessaryRelevance(
-      prediction, PredictionTarget::kTail, {evidence});
+      prediction, PredictionTarget::kTail, {evidence},
+      engine_on.HomologousRank(prediction.head, prediction,
+                               PredictionTarget::kTail));
   const double rel_off = engine_off.NecessaryRelevance(
-      prediction, PredictionTarget::kTail, {evidence});
+      prediction, PredictionTarget::kTail, {evidence},
+      engine_off.HomologousRank(prediction.head, prediction,
+                                PredictionTarget::kTail));
   EXPECT_EQ(Bits64(rel_on), Bits64(rel_off));
 }
 

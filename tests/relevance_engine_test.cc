@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "core/kelpie.h"
 #include "eval/ranking.h"
 #include "math/quant.h"
 #include "tests/test_util.h"
@@ -28,6 +29,12 @@ class RelevanceEngineTest : public ::testing::Test {
     }
   }
 
+  /// The homologous baseline of the prediction's source entity.
+  int Baseline(RelevanceEngine& engine) const {
+    return engine.HomologousRank(prediction_.head, prediction_,
+                                 PredictionTarget::kTail);
+  }
+
   Triple BornInFactOf(EntityId person) const {
     for (const Triple& f : dataset_->train_graph().FactsOf(person)) {
       if (f.relation == 0 && f.head == person) return f;  // born_in
@@ -47,7 +54,7 @@ TEST_F(RelevanceEngineTest, NecessaryRelevanceOfKeyFactIsHigh) {
   Triple born = BornInFactOf(prediction_.head);
   ASSERT_NE(born.head, kNoEntity);
   double key_rel = engine.NecessaryRelevance(
-      prediction_, PredictionTarget::kTail, {born});
+      prediction_, PredictionTarget::kTail, {born}, Baseline(engine));
   // Removing the born_in fact removes the entire evidence chain for the
   // nationality prediction; the rank should deteriorate.
   EXPECT_GT(key_rel, 0.0);
@@ -57,8 +64,8 @@ TEST_F(RelevanceEngineTest, NecessaryRelevanceBoundedByEntityCount) {
   ASSERT_TRUE(found_);
   RelevanceEngine engine(*model_, *dataset_, {});
   Triple born = BornInFactOf(prediction_.head);
-  double rel = engine.NecessaryRelevance(prediction_,
-                                         PredictionTarget::kTail, {born});
+  double rel = engine.NecessaryRelevance(
+      prediction_, PredictionTarget::kTail, {born}, Baseline(engine));
   EXPECT_LE(rel, static_cast<double>(dataset_->num_entities()) - 1.0);
   EXPECT_GE(rel, -(static_cast<double>(dataset_->num_entities()) - 1.0));
 }
@@ -69,8 +76,8 @@ TEST_F(RelevanceEngineTest, EmptyCandidateHasNearZeroNecessaryRelevance) {
   // Removing nothing compares a homologous mimic against another
   // homologous mimic; the expected deterioration is ~0 (post-training
   // noise allows small fluctuations).
-  double rel = engine.NecessaryRelevance(prediction_,
-                                         PredictionTarget::kTail, {});
+  double rel = engine.NecessaryRelevance(prediction_, PredictionTarget::kTail,
+                                         {}, Baseline(engine));
   EXPECT_LT(std::abs(rel), 8.0);
 }
 
@@ -79,23 +86,16 @@ TEST_F(RelevanceEngineTest, PostTrainingCountIncreases) {
   RelevanceEngine engine(*model_, *dataset_, {});
   EXPECT_EQ(engine.post_training_count(), 0u);
   Triple born = BornInFactOf(prediction_.head);
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
+  const int baseline = Baseline(engine);
+  EXPECT_EQ(engine.post_training_count(), 1u);
+  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born},
+                            baseline);
   // One homologous + one non-homologous mimic.
   EXPECT_EQ(engine.post_training_count(), 2u);
-  // The homologous mimic is cached for the same prediction.
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
+  // The caller's baseline is reused; only the removal mimic re-runs.
+  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born},
+                            baseline);
   EXPECT_EQ(engine.post_training_count(), 3u);
-}
-
-TEST_F(RelevanceEngineTest, ClearCachesForcesRecomputation) {
-  ASSERT_TRUE(found_);
-  RelevanceEngine engine(*model_, *dataset_, {});
-  Triple born = BornInFactOf(prediction_.head);
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
-  size_t after_first = engine.post_training_count();
-  engine.ClearCaches();
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
-  EXPECT_EQ(engine.post_training_count(), after_first + 2);
 }
 
 TEST_F(RelevanceEngineTest, ConversionSetExcludesAlreadyCorrectEntities) {
@@ -103,8 +103,9 @@ TEST_F(RelevanceEngineTest, ConversionSetExcludesAlreadyCorrectEntities) {
   RelevanceEngineOptions options;
   options.conversion_set_size = 5;
   RelevanceEngine engine(*model_, *dataset_, options);
+  Rng rng(options.seed);
   std::vector<EntityId> set =
-      engine.SampleConversionSet(prediction_, PredictionTarget::kTail);
+      engine.SampleConversionSet(prediction_, PredictionTarget::kTail, rng);
   EXPECT_LE(set.size(), 5u);
   for (EntityId c : set) {
     EXPECT_NE(c, prediction_.head);
@@ -120,15 +121,16 @@ TEST_F(RelevanceEngineTest, SufficientRelevanceOfFullFactSetIsPositive) {
   RelevanceEngineOptions options;
   options.conversion_set_size = 4;
   RelevanceEngine engine(*model_, *dataset_, options);
+  Rng rng(options.seed);
   std::vector<EntityId> set =
-      engine.SampleConversionSet(prediction_, PredictionTarget::kTail);
+      engine.SampleConversionSet(prediction_, PredictionTarget::kTail, rng);
   ASSERT_FALSE(set.empty());
   // Transfer the strongest evidence: the whole fact set of the source.
   std::vector<Triple> facts =
       dataset_->train_graph().FactsOf(prediction_.head);
-  double rel = engine.SufficientRelevance(prediction_,
-                                          PredictionTarget::kTail, facts,
-                                          set);
+  double rel = engine.SufficientRelevance(
+      prediction_, PredictionTarget::kTail, facts, set,
+      engine.HomologousRanks(prediction_, PredictionTarget::kTail, set));
   EXPECT_GT(rel, 0.0);
   EXPECT_LE(rel, 1.0 + 1e-9);
 }
@@ -138,11 +140,12 @@ TEST_F(RelevanceEngineTest, SufficientRelevanceEmptySetIsZero) {
   RelevanceEngine engine(*model_, *dataset_, {});
   double rel = engine.SufficientRelevance(
       prediction_, PredictionTarget::kTail, {BornInFactOf(prediction_.head)},
-      {});
+      {}, {});
   EXPECT_DOUBLE_EQ(rel, 0.0);
+  EXPECT_EQ(engine.post_training_count(), 0u);
 }
 
-TEST_F(RelevanceEngineTest, ConcurrentNecessaryRelevanceIsSingleFlight) {
+TEST_F(RelevanceEngineTest, ConcurrentNecessaryRelevanceSharesOneBaseline) {
   ASSERT_TRUE(found_);
   RelevanceEngine engine(*model_, *dataset_, {});
   const Triple born = BornInFactOf(prediction_.head);
@@ -150,7 +153,9 @@ TEST_F(RelevanceEngineTest, ConcurrentNecessaryRelevanceIsSingleFlight) {
   // The sequential reference value.
   RelevanceEngine reference(*model_, *dataset_, {});
   const double expected = reference.NecessaryRelevance(
-      prediction_, PredictionTarget::kTail, {born});
+      prediction_, PredictionTarget::kTail, {born}, Baseline(reference));
+  // One baseline shared by every thread, as the Explanation Builder does.
+  const int baseline = Baseline(engine);
 
   constexpr size_t kThreads = 8;
   std::vector<double> rels(kThreads, 0.0);
@@ -158,8 +163,8 @@ TEST_F(RelevanceEngineTest, ConcurrentNecessaryRelevanceIsSingleFlight) {
   threads.reserve(kThreads);
   for (size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      rels[i] = engine.NecessaryRelevance(prediction_,
-                                          PredictionTarget::kTail, {born});
+      rels[i] = engine.NecessaryRelevance(
+          prediction_, PredictionTarget::kTail, {born}, baseline);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -169,8 +174,8 @@ TEST_F(RelevanceEngineTest, ConcurrentNecessaryRelevanceIsSingleFlight) {
   for (size_t i = 0; i < kThreads; ++i) {
     EXPECT_EQ(rels[i], expected) << "thread " << i;
   }
-  // Single-flight on the homologous baseline: exactly one baseline
-  // post-training ran, plus one removal post-training per thread.
+  // Exactly one baseline post-training ran, plus one removal post-training
+  // per thread.
   EXPECT_EQ(engine.post_training_count(), kThreads + 1);
 }
 
@@ -179,8 +184,9 @@ TEST_F(RelevanceEngineTest, ParallelSufficientMatchesSequentialBitwise) {
   RelevanceEngineOptions sampler_options;
   sampler_options.conversion_set_size = 6;
   RelevanceEngine sampler(*model_, *dataset_, sampler_options);
+  Rng rng(sampler_options.seed);
   const std::vector<EntityId> set =
-      sampler.SampleConversionSet(prediction_, PredictionTarget::kTail);
+      sampler.SampleConversionSet(prediction_, PredictionTarget::kTail, rng);
   ASSERT_FALSE(set.empty());
   const std::vector<Triple> candidate = {BornInFactOf(prediction_.head)};
 
@@ -190,108 +196,107 @@ TEST_F(RelevanceEngineTest, ParallelSufficientMatchesSequentialBitwise) {
   parallel.num_threads = 4;
   RelevanceEngine engine1(*model_, *dataset_, sequential);
   RelevanceEngine engine4(*model_, *dataset_, parallel);
+  const std::vector<int> ranks1 =
+      engine1.HomologousRanks(prediction_, PredictionTarget::kTail, set);
+  const std::vector<int> ranks4 =
+      engine4.HomologousRanks(prediction_, PredictionTarget::kTail, set);
+  EXPECT_EQ(ranks1, ranks4);
   const double a = engine1.SufficientRelevance(
-      prediction_, PredictionTarget::kTail, candidate, set);
+      prediction_, PredictionTarget::kTail, candidate, set, ranks1);
   const double b = engine4.SufficientRelevance(
-      prediction_, PredictionTarget::kTail, candidate, set);
+      prediction_, PredictionTarget::kTail, candidate, set, ranks4);
   EXPECT_EQ(a, b);  // bitwise: contributions accumulate in set order
   EXPECT_EQ(engine1.post_training_count(), engine4.post_training_count());
 }
 
 TEST_F(RelevanceEngineTest, RepeatedPostTrainingsAreScheduleIndependent) {
   ASSERT_TRUE(found_);
-  // Calling the same relevance twice (fresh caches in between) must yield
-  // the same value: the post-training RNG depends only on the fact set,
-  // not on how many post-trainings ran before it.
+  // Calling the same relevance twice, baseline included, must yield the
+  // same value: the post-training RNG depends only on the fact set, not on
+  // how many post-trainings ran before it.
   RelevanceEngine engine(*model_, *dataset_, {});
   const Triple born = BornInFactOf(prediction_.head);
   const double first = engine.NecessaryRelevance(
-      prediction_, PredictionTarget::kTail, {born});
-  engine.ClearCaches();
+      prediction_, PredictionTarget::kTail, {born}, Baseline(engine));
   const double second = engine.NecessaryRelevance(
-      prediction_, PredictionTarget::kTail, {born});
+      prediction_, PredictionTarget::kTail, {born}, Baseline(engine));
   EXPECT_EQ(first, second);
 }
 
 // At num_threads = 1 the engine's raw work counters are exact (DESIGN §10):
-// no speculative chunk remainder, no contended cache entries. These tests
-// pin the per-call arithmetic the registry must report.
-TEST_F(RelevanceEngineTest, SequentialNecessaryCountersAreExact) {
+// no speculative chunk remainder. These tests pin the per-extraction
+// arithmetic the registry must report: one homologous baseline per
+// necessary extraction, |C| per sufficient one, and none carried over to
+// the next extraction.
+TEST_F(RelevanceEngineTest, NecessaryExtractionPostTrainsOneBaseline) {
   ASSERT_TRUE(found_);
   metrics::ScopedRegistry scoped;
   // Constructed after the swap: the engine resolves its handles from the
   // scoped registry.
-  RelevanceEngine engine(*model_, *dataset_, {});
-  const Triple born = BornInFactOf(prediction_.head);
-  ASSERT_NE(born.head, kNoEntity);
+  KelpieOptions options;
+  options.num_threads = 1;
+  Kelpie kelpie(*model_, *dataset_, options);
   metrics::Registry& reg = metrics::Registry::Global();
-  auto count = [&reg](const char* name, const metrics::Labels& labels) {
-    return reg.GetCounter(name, labels).Value();
+  auto count = [&reg](const char* kind) {
+    return reg.GetCounter("kelpie_engine_post_trainings_total",
+                          {{"kind", kind}})
+        .Value();
   };
 
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
-  // First call: homologous baseline is a cache miss (one post-training)
-  // plus the removal mimic.
-  EXPECT_EQ(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "homologous"}}),
-            1u);
-  EXPECT_EQ(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "necessary"}}),
-            1u);
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "miss"}}), 1u);
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "hit"}}), 0u);
+  const Explanation x = kelpie.ExplainNecessary(prediction_);
+  ASSERT_GT(x.visited_candidates, 0u);
+  EXPECT_EQ(count("homologous"), 1u);
+  EXPECT_EQ(count("necessary"), x.visited_candidates);
+  EXPECT_EQ(x.post_trainings, 1 + x.visited_candidates);
 
-  engine.NecessaryRelevance(prediction_, PredictionTarget::kTail, {born});
-  // Second call: the baseline is served from the cache; only the removal
-  // mimic re-runs.
-  EXPECT_EQ(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "homologous"}}),
-            1u);
-  EXPECT_EQ(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "necessary"}}),
-            2u);
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "miss"}}), 1u);
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "hit"}}), 1u);
-  // A sequential engine can never block behind another computation.
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "wait"}}), 0u);
-  EXPECT_EQ(count("kelpie_engine_diverged_post_trainings_total", {}), 0u);
+  // The second extraction computes its own baseline again.
+  const Explanation y = kelpie.ExplainNecessary(prediction_);
+  EXPECT_EQ(y.post_trainings, x.post_trainings);
+  EXPECT_EQ(count("homologous"), 2u);
+  EXPECT_EQ(count("necessary"), 2 * x.visited_candidates);
+  EXPECT_EQ(count("sufficient"), 0u);
+  EXPECT_EQ(
+      reg.CounterFamilyTotal("kelpie_engine_diverged_post_trainings_total"),
+      0u);
   // The registry total is the engine's own ledger, series-by-series.
   EXPECT_EQ(reg.CounterFamilyTotal("kelpie_engine_post_trainings_total"),
-            engine.post_training_count());
+            kelpie.engine().post_training_count());
 }
 
-TEST_F(RelevanceEngineTest, SequentialSufficientCountersAreExact) {
+TEST_F(RelevanceEngineTest, SufficientExtractionPostTrainsOneBaselinePerEntity) {
   ASSERT_TRUE(found_);
   metrics::ScopedRegistry scoped;
-  RelevanceEngineOptions options;
-  options.conversion_set_size = 4;
-  RelevanceEngine engine(*model_, *dataset_, options);
-  const std::vector<EntityId> set =
-      engine.SampleConversionSet(prediction_, PredictionTarget::kTail);
-  ASSERT_FALSE(set.empty());
+  KelpieOptions options;
+  options.num_threads = 1;
+  options.engine.conversion_set_size = 4;
+  Kelpie kelpie(*model_, *dataset_, options);
   metrics::Registry& reg = metrics::Registry::Global();
-  auto count = [&reg](const char* name, const metrics::Labels& labels) {
-    return reg.GetCounter(name, labels).Value();
+  auto count = [&reg](const char* kind) {
+    return reg.GetCounter("kelpie_engine_post_trainings_total",
+                          {{"kind", kind}})
+        .Value();
   };
-  // Sampling ranks against the original model — no post-training work yet.
-  EXPECT_EQ(reg.CounterFamilyTotal("kelpie_engine_post_trainings_total"), 0u);
 
-  engine.SufficientRelevance(prediction_, PredictionTarget::kTail,
-                             {BornInFactOf(prediction_.head)}, set);
-  // One homologous baseline per conversion entity, each a fresh cache miss.
-  EXPECT_EQ(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "homologous"}}),
-            set.size());
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "miss"}}),
-            set.size());
-  EXPECT_EQ(count("kelpie_engine_rank_cache_total", {{"event", "hit"}}), 0u);
+  std::vector<EntityId> set;
+  const Explanation x =
+      kelpie.ExplainSufficient(prediction_, PredictionTarget::kTail, &set);
+  ASSERT_FALSE(set.empty());
+  ASSERT_GT(x.visited_candidates, 0u);
+  EXPECT_EQ(count("homologous"), set.size());
   // Entities whose baseline already ranks 1 short-circuit before the
-  // addition mimic, so the sufficient count is bounded by |C|.
-  EXPECT_LE(count("kelpie_engine_post_trainings_total",
-                  {{"kind", "sufficient"}}),
-            set.size());
+  // addition mimic, so each candidate post-trains at most |C| mimics.
+  EXPECT_LE(count("sufficient"), set.size() * x.visited_candidates);
+  EXPECT_EQ(x.post_trainings, count("homologous") + count("sufficient"));
+
+  std::vector<EntityId> again;
+  const Explanation y =
+      kelpie.ExplainSufficient(prediction_, PredictionTarget::kTail, &again);
+  EXPECT_EQ(again, set);
+  EXPECT_EQ(y.post_trainings, x.post_trainings);
+  EXPECT_EQ(count("homologous"), 2 * set.size());
+  EXPECT_EQ(count("necessary"), 0u);
   EXPECT_EQ(reg.CounterFamilyTotal("kelpie_engine_post_trainings_total"),
-            engine.post_training_count());
+            kelpie.engine().post_training_count());
 }
 
 // The easiest silent-wrongness bug in the quantized-shortlist design: an

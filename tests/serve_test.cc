@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -20,8 +21,10 @@
 
 #include "math/rng.h"
 #include "models/model_store.h"
+#include "serve/client.h"
 #include "serve/line_protocol.h"
 #include "serve/model_pool.h"
+#include "serve/tcp_server.h"
 #include "tests/test_util.h"
 
 namespace kelpie {
@@ -169,7 +172,6 @@ TEST_F(ServeTest, GoldenConcurrentWorkloadMatchesOneShotBytes) {
   // The served run: everything submitted concurrently from 4 threads.
   ServerOptions options;
   options.pool_size = 2;
-  options.dispatchers = 2;
   options.kelpie = TestKelpieOptions(2);
   Result<std::unique_ptr<Server>> server =
       Server::Create(*model_path_, *dataset_, options);
@@ -214,13 +216,12 @@ TEST_F(ServeTest, GoldenConcurrentWorkloadMatchesOneShotBytes) {
   (*server)->Stop();
 }
 
-// The Nth identical request must answer like the first: pooled instances
-// carry caches and (historically) RNG state across requests, and none of it
-// may leak into the bytes.
+// The Nth identical request must answer like the first: a pooled instance
+// serves request after request, and nothing from an earlier one may leak
+// into the bytes.
 TEST_F(ServeTest, RepeatedRequestsOnAWarmPoolAnswerIdentically) {
   ServerOptions options;
-  options.pool_size = 1;  // every request lands on the same warm instance
-  options.dispatchers = 1;
+  options.pool_size = 1;  // every request lands on the same instance
   options.kelpie = TestKelpieOptions(1);
   Result<std::unique_ptr<Server>> server =
       Server::Create(*model_path_, *dataset_, options);
@@ -246,7 +247,6 @@ TEST_F(ServeTest, RepeatedRequestsOnAWarmPoolAnswerIdentically) {
 TEST_F(ServeTest, BoundedQueueShedsDeterministically) {
   ServerOptions options;
   options.pool_size = 1;
-  options.dispatchers = 1;
   options.max_queue_depth = 2;
   options.start_paused = true;  // nothing drains until Resume()
   Result<std::unique_ptr<Server>> server =
@@ -277,7 +277,6 @@ TEST_F(ServeTest, BoundedQueueShedsDeterministically) {
 TEST_F(ServeTest, ExpiredAdmissionDeadlineIsDeadlineExceededNotExecuted) {
   ServerOptions options;
   options.pool_size = 1;
-  options.dispatchers = 1;
   options.start_paused = true;
   Result<std::unique_ptr<Server>> server =
       Server::Create(*model_path_, *dataset_, options);
@@ -324,7 +323,6 @@ TEST_F(ServeTest, OutOfRangeIdsAreRejectedWithoutTouchingTheQueue) {
 TEST_F(ServeTest, StopDrainsAcceptedWorkAndShedsLaterSubmits) {
   ServerOptions options;
   options.pool_size = 2;
-  options.dispatchers = 2;
   Result<std::unique_ptr<Server>> server =
       Server::Create(*model_path_, *dataset_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -341,6 +339,47 @@ TEST_F(ServeTest, StopDrainsAcceptedWorkAndShedsLaterSubmits) {
   }
   ScoreResult after = (*server)->Submit({probe, {}}).get();
   EXPECT_EQ(after.status.code(), StatusCode::kUnavailable);
+}
+
+// ------------------------------------------------------------ tcp front ----
+
+// Every connection gets a handler thread; one that has exited must be
+// joined while the server runs, not at shutdown, or each closed connection
+// keeps its thread's stack mapped for the server's lifetime.
+TEST_F(ServeTest, TcpServerJoinsFinishedConnectionHandlers) {
+  ServerOptions options;
+  options.pool_size = 1;
+  Result<std::unique_ptr<Server>> server =
+      Server::Create(*model_path_, *dataset_, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  TcpServer tcp(**server, {});
+  ASSERT_TRUE(tcp.Start().ok());
+  std::thread accept_loop([&tcp] { tcp.Run(); });
+
+  ClientOptions client;
+  client.port = tcp.port();
+  client.max_retries = 0;
+  for (uint64_t id = 1; id <= 64; ++id) {
+    const std::string ping =
+        "{\"id\":" + std::to_string(id) + ",\"op\":\"ping\"}";
+    Result<ClientBatchResult> batch = RunClientBatch(client, {ping});
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->responses.size(), 1u);
+    EXPECT_EQ(batch->responses[0], PingResponseLine(id));
+  }
+  // The accept loop wakes at least every 100 ms and joins what has exited.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (tcp.unjoined_handlers() > 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(tcp.unjoined_handlers(), 1u);
+
+  tcp.Shutdown();
+  accept_loop.join();
+  EXPECT_EQ(tcp.unjoined_handlers(), 0u);
+  (*server)->Stop();
 }
 
 }  // namespace

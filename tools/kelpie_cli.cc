@@ -21,7 +21,8 @@
 //       Scores one triple (--canonical prints the serve wire format).
 //   serve     --data DIR --model-file model.bin [--port N] [--pool N]
 //       Serves score/explain requests over newline-delimited JSON on TCP,
-//       batching them across a pool of pre-loaded model instances.
+//       batching them across a pool of N pre-loaded model instances, one
+//       dispatcher thread each.
 //   serve-client --port N [--connections N] [--in FILE]
 //       Drives a serve endpoint with request lines; prints responses
 //       sorted by id.
@@ -564,10 +565,8 @@ Status CmdServe(const Args& args) {
   }
 
   serve::ServerOptions options;
-  uint64_t pool = 0, dispatchers = 0, max_queue = 0, max_batch = 0,
-           threads = 0;
+  uint64_t pool = 0, max_queue = 0, max_batch = 0, threads = 0;
   KELPIE_ASSIGN_OR_RETURN(pool, args.GetU64("pool", 2));
-  KELPIE_ASSIGN_OR_RETURN(dispatchers, args.GetU64("dispatchers", 0));
   KELPIE_ASSIGN_OR_RETURN(max_queue, args.GetU64("max-queue", 256));
   KELPIE_ASSIGN_OR_RETURN(max_batch, args.GetU64("max-batch", 16));
   KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
@@ -576,7 +575,6 @@ Status CmdServe(const Args& args) {
     return Status::InvalidArgument("--max-batch must be >= 1");
   }
   options.pool_size = pool;
-  options.dispatchers = dispatchers;
   options.max_queue_depth = max_queue;
   options.max_batch = max_batch;
   options.kelpie.num_threads = threads;
@@ -1060,7 +1058,7 @@ int Usage() {
       "  score    --data DIR --model-file FILE --head H --relation R "
       "--tail T [--canonical] [--id N]\n"
       "  serve    --data DIR --model-file FILE [--host ADDR] [--port N] "
-      "[--pool N] [--dispatchers N] [--max-queue N] [--max-batch N] "
+      "[--pool N] [--max-queue N] [--max-batch N] "
       "[--threads N] [--metrics-out FILE] [--relevance-cache FILE] "
       "[--cache-bytes N] [--warm-mimics] [--quant-shortlist]\n"
       "  serve-client --port N [--host ADDR] [--connections N] [--in FILE] "
@@ -1081,7 +1079,8 @@ int Usage() {
       "  metrics  [--demo] [--json] [--out FILE]\n"
       "serving:\n"
       "  kelpie serve                newline-delimited-JSON TCP service over\n"
-      "                              a pool of pre-loaded model instances\n"
+      "                              a pool of --pool pre-loaded model\n"
+      "                              instances, one dispatcher thread each\n"
       "                              (score/explain/ping/health/stats/\n"
       "                              shutdown ops; port 0 picks an ephemeral\n"
       "                              port). Responses are byte-identical to\n"
