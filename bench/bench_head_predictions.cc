@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
   PrintRule(5);
 
   for (auto& framework : MakeFrameworks(*model, dataset, options)) {
-    NecessaryRunResult run = RunNecessaryEndToEnd(
-        *framework, ModelKind::kComplEx, dataset, predictions,
-        options.seed + 3, PredictionTarget::kHead);
+    EndToEndResult run = CheckedRun(RunEndToEnd(
+        *framework, *model, ModelKind::kComplEx, dataset, predictions,
+        ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+        /*conversion_seed=*/0, options.seed + 3, PredictionTarget::kHead));
     double total_len = 0.0;
     for (const Explanation& x : run.explanations) {
       total_len += static_cast<double>(x.size());
@@ -46,11 +47,10 @@ int main(int argc, char** argv) {
   }
 
   for (auto& framework : MakeFrameworks(*model, dataset, options)) {
-    Rng conv_rng(options.seed + 4);
-    SufficientRunResult run = RunSufficientEndToEnd(
+    EndToEndResult run = CheckedRun(RunEndToEnd(
         *framework, *model, ModelKind::kComplEx, dataset, predictions,
-        options.conversion_size(), conv_rng, options.seed + 5,
-        PredictionTarget::kHead);
+        ExplanationKind::kSufficient, options.conversion_size(),
+        options.seed + 4, options.seed + 5, PredictionTarget::kHead));
     double total_len = 0.0;
     for (const Explanation& x : run.explanations) {
       total_len += static_cast<double>(x.size());

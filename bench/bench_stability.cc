@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
         *model, dataset, per_sample, sample_rng);
     if (predictions.size() < 3) continue;
     KelpieExplainer kelpie(*model, dataset, MakeKelpieOptions(options));
-    NecessaryRunResult run = RunNecessaryEndToEnd(
-        kelpie, ModelKind::kComplEx, dataset, predictions,
-        options.seed + 200 + s);
+    EndToEndResult run = CheckedRun(RunEndToEnd(
+        kelpie, *model, ModelKind::kComplEx, dataset, predictions,
+        ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+        /*conversion_seed=*/0, options.seed + 200 + s));
     double total_len = 0.0;
     for (const Explanation& x : run.explanations) {
       total_len += static_cast<double>(x.size());

@@ -34,8 +34,10 @@ int main(int argc, char** argv) {
         continue;
       }
       for (auto& framework : MakeFrameworks(*model, dataset, options)) {
-        NecessaryRunResult run = RunNecessaryEndToEnd(
-            *framework, kind, dataset, predictions, options.seed + 3);
+        EndToEndResult run = CheckedRun(RunEndToEnd(
+            *framework, *model, kind, dataset, predictions,
+            ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+            /*conversion_seed=*/0, options.seed + 3));
         double total_len = 0.0;
         for (const Explanation& x : run.explanations) {
           total_len += static_cast<double>(x.size());

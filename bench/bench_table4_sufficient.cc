@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
         continue;
       }
       for (auto& framework : MakeFrameworks(*model, dataset, options)) {
-        Rng conv_rng(options.seed + 4);
-        SufficientRunResult run = RunSufficientEndToEnd(
+        EndToEndResult run = CheckedRun(RunEndToEnd(
             *framework, *model, kind, dataset, predictions,
-            options.conversion_size(), conv_rng, options.seed + 5);
+            ExplanationKind::kSufficient, options.conversion_size(),
+            options.seed + 4, options.seed + 5));
         double total_len = 0.0;
         for (const Explanation& x : run.explanations) {
           total_len += static_cast<double>(x.size());

@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
       KelpieExplainer kelpie(*model, dataset, MakeKelpieOptions(options));
 
       // ---- Necessary scenario. ----
-      NecessaryRunResult full_nec = RunNecessaryEndToEnd(
-          kelpie, kind, dataset, predictions, options.seed + 3);
+      EndToEndResult full_nec = CheckedRun(RunEndToEnd(
+          kelpie, *model, kind, dataset, predictions,
+          ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+          /*conversion_seed=*/0, options.seed + 3));
       Rng sub_rng(options.seed + 6);
       std::vector<std::vector<Triple>> sub_nec =
           SubsampleExplanations(full_nec.explanations, sub_rng);
@@ -43,15 +45,16 @@ int main(int argc, char** argv) {
       LpMetrics sub_nec_metrics = RetrainAndMeasureTails(
           kind, dataset, predictions, sub_removed, {}, options.seed + 3);
       double nec_h1_loss = EffectivenessLoss(
-          full_nec.after.hits_at_1 - 1.0, sub_nec_metrics.hits_at_1 - 1.0);
+          full_nec.delta_h1(),
+          sub_nec_metrics.hits_at_1 - full_nec.before.hits_at_1);
       double nec_mrr_loss = EffectivenessLoss(
-          full_nec.after.mrr - 1.0, sub_nec_metrics.mrr - 1.0);
+          full_nec.delta_mrr(), sub_nec_metrics.mrr - full_nec.before.mrr);
 
       // ---- Sufficient scenario. ----
-      Rng conv_rng(options.seed + 4);
-      SufficientRunResult full_suf = RunSufficientEndToEnd(
+      EndToEndResult full_suf = CheckedRun(RunEndToEnd(
           kelpie, *model, kind, dataset, predictions,
-          options.conversion_size(), conv_rng, options.seed + 5);
+          ExplanationKind::kSufficient, options.conversion_size(),
+          options.seed + 4, options.seed + 5));
       std::vector<std::vector<Triple>> sub_suf_facts =
           SubsampleExplanations(full_suf.explanations, sub_rng);
       std::vector<Explanation> sub_suf(full_suf.explanations.size());

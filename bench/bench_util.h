@@ -10,6 +10,7 @@
 #include "baselines/criage.h"
 #include "baselines/data_poisoning.h"
 #include "baselines/explainer.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -101,6 +102,13 @@ inline std::vector<std::unique_ptr<Explainer>> MakeFrameworks(
     out.push_back(std::make_unique<CriageExplainer>(model, dataset));
   }
   return out;
+}
+
+/// The result of an unjournaled end-to-end run. Without a journal, cancel
+/// token or deadline a run cannot fail, so a failure aborts the bench.
+inline EndToEndResult CheckedRun(Result<EndToEndResult> run) {
+  KELPIE_CHECK(run.ok()) << run.status().ToString();
+  return std::move(run).value();
 }
 
 /// Total Relevance Engine post-trainings recorded in the process metrics

@@ -34,13 +34,24 @@ void Collector::Disable() {
 void Collector::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   finished_.clear();
+  dropped_ = 0;
   next_id_.store(1, std::memory_order_relaxed);
   origin_ = std::chrono::steady_clock::now();
 }
 
 void Collector::Record(SpanRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  finished_.push_back(std::move(record));
+  if (finished_.size() < kCapacity) {
+    finished_.push_back(std::move(record));
+    return;
+  }
+  finished_[dropped_ % kCapacity] = std::move(record);
+  ++dropped_;
+}
+
+uint64_t Collector::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
 }
 
 std::vector<SpanRecord> Collector::Finished() const {
@@ -93,9 +104,9 @@ std::string Collector::ToJson(bool mask_wall_clock) const {
   for (const SpanRecord& s : spans) known[s.id] = true;
   std::vector<const SpanRecord*> roots;
   for (const SpanRecord& s : spans) {
-    // A parent that never finished (still open, or opened before Clear) is
-    // not in the forest; treat its children as roots rather than dropping
-    // them.
+    // A parent that never finished (still open, or opened before Clear) or
+    // was overwritten in the ring is not in the forest; treat its children
+    // as roots rather than dropping them.
     if (s.parent != 0 && known.count(s.parent) > 0) {
       children[s.parent].push_back(&s);
     } else {
@@ -144,6 +155,8 @@ std::string ObservabilitySnapshotJson(bool mask_wall_clock) {
   out += metrics::Registry::Global().JsonSnapshot(mask_wall_clock);
   out += ",\"spans\":";
   out += Collector::Global().ToJson(mask_wall_clock);
+  out += ",\"spans_dropped\":";
+  out += std::to_string(Collector::Global().dropped());
   out += "}";
   return out;
 }

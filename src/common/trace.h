@@ -28,7 +28,12 @@ struct SpanRecord {
 /// reads, no allocation, no lock — so instrumented code paths cost nothing
 /// unless a sink (CLI --metrics-out, a test) asks for traces.
 ///
-/// Concurrent open/close from pool workers is safe (finish appends under a
+/// Finished spans live in a ring of kCapacity records: past it each new
+/// record overwrites the oldest one and counts as dropped, so a collector
+/// left on for a long-running server holds bounded memory. A span whose
+/// parent was overwritten renders as a root.
+///
+/// Concurrent open/close from pool workers is safe (finish records under a
 /// mutex). Span *ids* are allocation-ordered: sequential span sites — all
 /// of kelpie's production sites (the xp prediction loop, training,
 /// evaluation, extraction entry points) — get deterministic ids, so the
@@ -37,6 +42,9 @@ struct SpanRecord {
 /// masked snapshots.
 class Collector {
  public:
+  /// Finished spans kept; older ones are overwritten.
+  static constexpr size_t kCapacity = size_t{1} << 16;
+
   static Collector& Global();
 
   /// Enables collection and resets the clock origin and span ids.
@@ -44,11 +52,15 @@ class Collector {
   void Disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops all finished spans and resets the clock origin and span ids.
+  /// Drops all finished spans and resets the clock origin, span ids and
+  /// dropped count.
   void Clear();
 
-  /// Finished spans sorted by id (i.e. open order).
+  /// The kept finished spans sorted by id (i.e. open order).
   std::vector<SpanRecord> Finished() const;
+
+  /// Finished spans overwritten since the last Enable or Clear.
+  uint64_t dropped() const;
 
   /// JSON forest of finished spans: roots in id order, children nested.
   /// With `mask_wall_clock`, start/duration render as "MASKED" — structure
@@ -69,7 +81,10 @@ class Collector {
   std::atomic<uint64_t> next_id_{1};
   std::chrono::steady_clock::time_point origin_{};
   mutable std::mutex mu_;
+  /// Ring of finished spans: filled in record order, then slot
+  /// `dropped_ % kCapacity` holds the oldest record and is overwritten next.
   std::vector<SpanRecord> finished_;
+  uint64_t dropped_ = 0;
 };
 
 /// RAII span: opens on construction, records on destruction. A no-op when
@@ -91,8 +106,9 @@ class Span {
 };
 
 /// Combined observability snapshot of the global registry and collector:
-/// `{"metrics": [...], "spans": [...]}`. The CLI's --metrics-out writes
-/// this; tests byte-compare it with `mask_wall_clock` on.
+/// `{"metrics": [...], "spans": [...], "spans_dropped": N}`. The CLI's
+/// --metrics-out writes this; tests byte-compare it with `mask_wall_clock`
+/// on.
 std::string ObservabilitySnapshotJson(bool mask_wall_clock = false);
 
 }  // namespace trace

@@ -10,6 +10,7 @@
 #include "common/atomic_file.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/record_file.h"
 
 namespace kelpie {
@@ -24,13 +25,6 @@ namespace {
 constexpr record_file::Format kFormat{"KELPRC1\n", 2};
 constexpr uint8_t kEntryFrame = 1;
 constexpr size_t kPayloadFixed = 12;
-
-/// SplitMix64 finalizer (same mixing as the engine's seed derivation).
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 template <typename T>
 void AppendRaw(std::string& out, T value) {
@@ -163,17 +157,20 @@ size_t RelevanceCache::EntryBytes(size_t num_facts, size_t dim) {
   return record_file::kFrameOverhead + PayloadSize(num_facts, dim) + 64;
 }
 
-uint64_t RelevanceCache::KeyHash(EntityId entity,
-                                 const std::vector<Triple>& facts) {
-  // Same chain shape as the engine's PostTrainSeed but a different salt:
-  // cache keys and RNG streams must be independent functions of the input.
-  uint64_t h = Mix64(0x5ca1ab1ecafef00dULL);
+uint64_t EntityFactsHash(uint64_t start, EntityId entity,
+                         const std::vector<Triple>& facts) {
+  uint64_t h = Mix64(start);
   h = Mix64(h ^ static_cast<uint64_t>(static_cast<uint32_t>(entity)));
   h = Mix64(h ^ static_cast<uint64_t>(facts.size()));
   for (const Triple& f : facts) {
     h = Mix64(h ^ f.Key());
   }
   return h;
+}
+
+uint64_t RelevanceCache::KeyHash(EntityId entity,
+                                 const std::vector<Triple>& facts) {
+  return EntityFactsHash(0x5ca1ab1ecafef00dULL, entity, facts);
 }
 
 void RelevanceCache::LoadFromDisk() {

@@ -100,9 +100,20 @@ struct RelevanceCacheFileInfo {
   bool header_ok = false;
 };
 
+/// Hash of one entity's exact fact sequence: Mix64 chained from `start`
+/// over the entity, the fact count and each fact's key. The cache keys
+/// mimics with it and the engine seeds post-training streams with it, from
+/// different start values so keys and streams stay independent functions
+/// of the input.
+uint64_t EntityFactsHash(uint64_t start, EntityId entity,
+                         const std::vector<Triple>& facts);
+
 class RelevanceCache {
  public:
   using ComputeFn = std::function<std::vector<float>()>;
+
+  /// Index key of the mimic of (entity, facts).
+  static uint64_t KeyHash(EntityId entity, const std::vector<Triple>& facts);
 
   /// Opens the cache, loading whatever verifies from options.path. Never
   /// fails: any corruption degrades to fewer loaded entries.
@@ -199,7 +210,6 @@ class RelevanceCache {
   void UpdateGaugesLocked();
 
   static size_t EntryBytes(size_t num_facts, size_t dim);
-  static uint64_t KeyHash(EntityId entity, const std::vector<Triple>& facts);
 
   RelevanceCacheOptions options_;
   CacheMetrics metrics_;

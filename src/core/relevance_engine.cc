@@ -41,13 +41,6 @@ std::vector<Triple> WithoutFacts(const std::vector<Triple>& facts,
   return out;
 }
 
-/// SplitMix64 finalizer: full-avalanche 64-bit mixing.
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Seed of a post-training RNG stream: a pure function of the engine seed,
 /// the mimicked entity, and the exact fact sequence. Two post-trainings of
 /// the same (entity, facts) produce the same mimic no matter which thread
@@ -55,13 +48,7 @@ uint64_t Mix64(uint64_t x) {
 /// parallel extraction.
 uint64_t PostTrainSeed(uint64_t engine_seed, EntityId entity,
                        const std::vector<Triple>& facts) {
-  uint64_t h = Mix64(engine_seed ^ 0x7c0ffee123456789ULL);
-  h = Mix64(h ^ static_cast<uint64_t>(static_cast<uint32_t>(entity)));
-  h = Mix64(h ^ static_cast<uint64_t>(facts.size()));
-  for (const Triple& f : facts) {
-    h = Mix64(h ^ f.Key());
-  }
-  return h;
+  return EntityFactsHash(engine_seed ^ 0x7c0ffee123456789ULL, entity, facts);
 }
 
 /// True when a post-trained mimic contains a non-finite value, i.e. the

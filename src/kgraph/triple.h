@@ -5,6 +5,8 @@
 #include <functional>
 #include <string>
 
+#include "common/hash.h"
+
 namespace kelpie {
 
 /// Integer identifier of an entity (node) in a knowledge graph.
@@ -57,11 +59,7 @@ struct Triple {
 /// Hash functor for Triple, for unordered containers.
 struct TripleHash {
   size_t operator()(const Triple& t) const {
-    uint64_t k = t.Key();
-    // SplitMix64 finalizer.
-    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(k ^ (k >> 31));
+    return static_cast<size_t>(Mix64(t.Key()));
   }
 };
 

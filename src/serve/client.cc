@@ -12,19 +12,13 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.h"
 #include "serve/line_protocol.h"
 
 namespace kelpie {
 namespace serve {
 
 namespace {
-
-/// SplitMix64 finalizer, for the deterministic retry jitter.
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 struct ConnectionOutcome {
   Status status = Status::Ok();

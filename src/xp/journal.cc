@@ -127,6 +127,7 @@ Status ParseSummary(std::string_view payload, RunSummary& s) {
 Result<RunJournal> RunJournal::Open(const std::string& path, uint64_t run_id,
                                     bool resume) {
   RunJournal journal;
+  if (path.empty()) return journal;
   std::string image = record_file::Header(kFormat, run_id);
   Result<record_file::Reader> existing =
       resume ? record_file::Reader::Open(path, kFormat)
@@ -168,16 +169,19 @@ Result<RunJournal> RunJournal::Open(const std::string& path, uint64_t run_id,
   }
   KELPIE_ASSIGN_OR_RETURN(journal.out_,
                           record_file::Appender::Open(path, image));
+  journal.has_file_ = true;
   return journal;
 }
 
 Status RunJournal::Append(const PredictionRecord& record) {
+  if (!has_file_) return Status::Ok();
   std::string payload;
   KELPIE_ASSIGN_OR_RETURN(payload, SerializeRecord(record));
   return out_.Append(kRecordFrame, payload);
 }
 
 Status RunJournal::AppendSummary(const RunSummary& summary) {
+  if (!has_file_) return Status::Ok();
   std::string payload;
   KELPIE_ASSIGN_OR_RETURN(payload, SerializeSummary(summary));
   return out_.Append(kSummaryFrame, payload);

@@ -69,23 +69,28 @@ struct RunSummary {
 /// A header that does not verify is DataLoss.
 ///
 /// The run id is a fingerprint of everything that determines the run's
-/// results (scenario, model, dataset, predictions, seeds — see
-/// ComputeRunId in pipeline.h callers). Resuming with a mismatched id
-/// fails: replaying records from a different configuration would silently
+/// results (scenario, explainer, model, dataset, predictions, seeds — see
+/// ComputeRunId in pipeline.cc). Resuming with a mismatched id fails:
+/// replaying records from a different configuration would silently
 /// produce wrong results.
+///
+/// The end-to-end loop (RunEndToEnd in pipeline.h) always runs against a
+/// journal; an unjournaled run opens one with an empty path, which has no
+/// file, recovers nothing and ignores appends.
 class RunJournal {
  public:
   /// Opens `path` for appending. With `resume` false the file is created
   /// fresh (an existing journal is discarded). With `resume` true an
   /// existing file is validated against `run_id` and its complete records
-  /// become `recovered()`; a missing file starts an empty journal.
+  /// become `recovered()`; a missing file starts an empty journal. An empty
+  /// `path` opens a journal without a file.
   static Result<RunJournal> Open(const std::string& path, uint64_t run_id,
                                  bool resume);
 
-  /// Appends one record and flushes it to the file.
+  /// Appends one record and flushes it to the file (no-op without a file).
   Status Append(const PredictionRecord& record);
 
-  /// Appends the run summary frame and flushes it.
+  /// Appends the run summary frame and flushes it (no-op without a file).
   Status AppendSummary(const RunSummary& summary);
 
   /// Records recovered from a resumed journal, in append order.
@@ -100,12 +105,13 @@ class RunJournal {
     return recovered_summary_;
   }
 
-  /// An inert journal (no file); assign from Open() before use.
+  /// A journal without a file, as Open("") returns.
   RunJournal() = default;
   RunJournal(RunJournal&&) = default;
   RunJournal& operator=(RunJournal&&) = default;
 
  private:
+  bool has_file_ = false;
   record_file::Appender out_;
   std::vector<PredictionRecord> recovered_;
   std::optional<RunSummary> recovered_summary_;

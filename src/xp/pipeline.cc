@@ -6,6 +6,7 @@
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -56,26 +57,17 @@ RunSummary SummaryOfExplanations(
   return s;
 }
 
-/// SplitMix64 finalizer: full-avalanche 64-bit mixing.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 /// Fingerprint of everything that determines a journaled run's results.
 /// Two runs with the same fingerprint replay each other's journals; any
-/// difference (scenario, model, dataset, predictions, seeds) makes resume
-/// refuse.
-uint64_t ComputeRunId(std::string_view scenario, ModelKind kind,
-                      const Dataset& dataset,
+/// difference (scenario, explainer, model, dataset, predictions, seeds,
+/// warm start) makes resume refuse. The explainer's other options stay
+/// outside: `kelpie xp` fixes them.
+uint64_t ComputeRunId(std::string_view scenario, std::string_view explainer,
+                      ModelKind kind, const Dataset& dataset,
                       const std::vector<Triple>& predictions,
                       PredictionTarget target, uint64_t retrain_seed,
                       size_t conversion_set_size, uint64_t conversion_seed,
-                      const RetrainOptions& retrain = {}) {
+                      const RetrainOptions& retrain) {
   std::string s(scenario);
   s += '|';
   s += ModelKindName(kind);
@@ -97,6 +89,12 @@ uint64_t ComputeRunId(std::string_view scenario, ModelKind kind,
     s += ':';
     s += std::to_string(retrain.warm_epochs);
   }
+  // Likewise only for frameworks other than Kelpie, so journals written by
+  // `kelpie xp` keep their ids.
+  if (explainer != "Kelpie") {
+    s += "|explainer:";
+    s += explainer;
+  }
   uint64_t id = Crc32c(s);
   for (const Triple& p : predictions) {
     id = Mix64(id ^ p.Key());
@@ -105,8 +103,8 @@ uint64_t ComputeRunId(std::string_view scenario, ModelKind kind,
 }
 
 /// Rebuilds the Explanation a journal record captured. `seconds` is zero by
-/// construction — journaled runs do not preserve wall-clock timings, so
-/// replayed and freshly extracted explanations compare byte-identical.
+/// construction — runs do not preserve wall-clock timings, so replayed and
+/// freshly extracted explanations compare byte-identical.
 Explanation RecordToExplanation(const PredictionRecord& record,
                                 ExplanationKind kind) {
   Explanation x;
@@ -123,7 +121,7 @@ Explanation RecordToExplanation(const PredictionRecord& record,
 }
 
 /// The journal record of a freshly extracted explanation. `seconds` is not
-/// captured: journaled runs zero it so replayed and fresh explanations
+/// captured: the run loop zeroes it so replayed and fresh explanations
 /// compare byte-identical.
 PredictionRecord ExplanationToRecord(const Triple& prediction,
                                      const Explanation& x) {
@@ -251,30 +249,6 @@ LpMetrics RetrainAndMeasureTails(ModelKind kind, const Dataset& dataset,
                            PredictionTarget::kTail, retrain_seed);
 }
 
-NecessaryRunResult RunNecessaryEndToEnd(
-    Explainer& explainer, ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, uint64_t retrain_seed,
-    PredictionTarget target) {
-  trace::Span run_span("xp.necessary");
-  NecessaryRunResult result;
-  std::vector<Triple> to_remove;
-  std::unordered_set<uint64_t> seen;
-  for (const Triple& prediction : predictions) {
-    trace::Span pred_span("xp.prediction");
-    PredictionCounter("necessary", "fresh").Increment();
-    Explanation x = explainer.ExplainNecessary(prediction, target);
-    for (const Triple& fact : x.facts) {
-      if (seen.insert(fact.Key()).second) {
-        to_remove.push_back(fact);
-      }
-    }
-    result.explanations.push_back(std::move(x));
-  }
-  result.after = RetrainAndMeasure(kind, dataset, predictions, to_remove, {},
-                                   target, retrain_seed);
-  return result;
-}
-
 std::vector<Triple> ConversionPredictions(
     const std::vector<Triple>& predictions,
     const std::vector<std::vector<EntityId>>& conversion_sets,
@@ -318,56 +292,26 @@ std::vector<Triple> TransferredFacts(
   return out;
 }
 
-SufficientRunResult RunSufficientEndToEnd(
+Result<EndToEndResult> RunEndToEnd(
     Explainer& explainer, const LinkPredictionModel& original_model,
     ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, size_t conversion_set_size,
-    Rng& rng, uint64_t retrain_seed, PredictionTarget target) {
-  trace::Span run_span("xp.sufficient");
-  SufficientRunResult result;
-  for (const Triple& prediction : predictions) {
-    trace::Span pred_span("xp.prediction");
-    PredictionCounter("sufficient", "fresh").Increment();
-    std::vector<EntityId> conversion_set = SampleConversionEntities(
-        original_model, dataset, prediction, target, conversion_set_size,
-        rng);
-    Explanation x =
-        explainer.ExplainSufficient(prediction, target, conversion_set);
-    result.conversion_sets.push_back(std::move(conversion_set));
-    result.explanations.push_back(std::move(x));
-  }
-
-  // Baseline metrics of the fictitious predictions under the original
-  // model (H@1 is 0 by construction of the conversion sets).
-  std::vector<Triple> converted =
-      ConversionPredictions(predictions, result.conversion_sets, target);
-  MetricsAccumulator before;
-  for (const Triple& p : converted) {
-    before.AddRank(FilteredRank(original_model, dataset, p, target));
-  }
-  result.before = LpMetrics{before.HitsAt(1), before.Mrr()};
-
-  std::vector<Triple> added = TransferredFacts(
-      predictions, result.explanations, result.conversion_sets, target);
-  result.after = RetrainAndMeasure(kind, dataset, converted, {}, added,
-                                   target, retrain_seed);
-  return result;
-}
-
-Result<NecessaryRunResult> RunNecessaryEndToEndResumable(
-    Explainer& explainer, ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, uint64_t retrain_seed,
-    PredictionTarget target, const JournalOptions& journal_options,
+    const std::vector<Triple>& predictions, ExplanationKind scenario,
+    size_t conversion_set_size, uint64_t conversion_seed,
+    uint64_t retrain_seed, PredictionTarget target,
     const RunControl& control) {
-  trace::Span run_span("xp.necessary");
-  const uint64_t run_id =
-      ComputeRunId("necessary", kind, dataset, predictions, target,
-                   retrain_seed, /*conversion_set_size=*/0,
-                   /*conversion_seed=*/0, control.retrain);
+  const bool sufficient = scenario == ExplanationKind::kSufficient;
+  const char* name = sufficient ? "sufficient" : "necessary";
+  if (!sufficient) {
+    conversion_set_size = 0;
+    conversion_seed = 0;
+  }
+  trace::Span run_span(sufficient ? "xp.sufficient" : "xp.necessary");
+  const uint64_t run_id = ComputeRunId(
+      name, explainer.Name(), kind, dataset, predictions, target,
+      retrain_seed, conversion_set_size, conversion_seed, control.retrain);
   RunJournal journal;
   KELPIE_ASSIGN_OR_RETURN(
-      journal,
-      RunJournal::Open(journal_options.path, run_id, journal_options.resume));
+      journal, RunJournal::Open(control.journal_path, run_id, control.resume));
   if (journal.recovered().size() > predictions.size()) {
     return Status::FailedPrecondition(
         "journal has more records than this run has predictions");
@@ -384,100 +328,15 @@ Result<NecessaryRunResult> RunNecessaryEndToEndResumable(
     // journal is rewritten in place rather than appended to.
     KELPIE_ASSIGN_OR_RETURN(
         journal,
-        RunJournal::Open(journal_options.path, run_id, /*resume=*/false));
-    KELPIE_LOG(Info) << "retrying truncated predictions of necessary run ("
-                     << recovered.size() << " journaled)";
+        RunJournal::Open(control.journal_path, run_id, /*resume=*/false));
+    KELPIE_LOG(Info) << "retrying truncated predictions of " << name
+                     << " run (" << recovered.size() << " journaled)";
   } else if (!recovered.empty()) {
-    KELPIE_LOG(Info) << "resuming necessary run: " << recovered.size() << "/"
-                     << predictions.size() << " predictions journaled";
+    KELPIE_LOG(Info) << "resuming " << name << " run: " << recovered.size()
+                     << "/" << predictions.size() << " predictions journaled";
   }
 
-  NecessaryRunResult result;
-  std::vector<Triple> to_remove;
-  std::unordered_set<uint64_t> seen;
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    trace::Span pred_span("xp.prediction");
-    Explanation x;
-    const bool replay =
-        i < recovered.size() && (!rewrite || RecordComplete(recovered[i]));
-    if (i < recovered.size()) {
-      KELPIE_RETURN_IF_ERROR(
-          CheckRecordedPrediction(recovered[i], predictions[i], i));
-    }
-    PredictionCounter("necessary", replay ? "replayed" : "fresh").Increment();
-    if (replay) {
-      x = RecordToExplanation(recovered[i], ExplanationKind::kNecessary);
-      if (rewrite) {
-        KELPIE_RETURN_IF_ERROR(journal.Append(recovered[i]));
-      }
-    } else {
-      KELPIE_RETURN_IF_ERROR(CheckRunInterrupt(control, i,
-                                               predictions.size()));
-      x = explainer.ExplainNecessary(predictions[i], target);
-      x.seconds = 0.0;
-      {
-        trace::Span append_span("xp.journal.append");
-        KELPIE_RETURN_IF_ERROR(
-            journal.Append(ExplanationToRecord(predictions[i], x)));
-      }
-      if (failpoint::Fire("pipeline.interrupt", i)) {
-        return Status::Aborted("injected interrupt after prediction " +
-                               std::to_string(i));
-      }
-    }
-    for (const Triple& fact : x.facts) {
-      if (seen.insert(fact.Key()).second) {
-        to_remove.push_back(fact);
-      }
-    }
-    result.explanations.push_back(std::move(x));
-  }
-  KELPIE_RETURN_IF_ERROR(
-      CheckRunInterrupt(control, predictions.size(), predictions.size()));
-  result.after = RetrainAndMeasure(kind, dataset, predictions, to_remove, {},
-                                   target, retrain_seed, control.retrain);
-  KELPIE_RETURN_IF_ERROR(
-      journal.AppendSummary(SummaryOfExplanations(result.explanations)));
-  return result;
-}
-
-Result<SufficientRunResult> RunSufficientEndToEndResumable(
-    Explainer& explainer, const LinkPredictionModel& original_model,
-    ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, size_t conversion_set_size,
-    uint64_t conversion_seed, uint64_t retrain_seed, PredictionTarget target,
-    const JournalOptions& journal_options, const RunControl& control) {
-  trace::Span run_span("xp.sufficient");
-  const uint64_t run_id =
-      ComputeRunId("sufficient", kind, dataset, predictions, target,
-                   retrain_seed, conversion_set_size, conversion_seed,
-                   control.retrain);
-  RunJournal journal;
-  KELPIE_ASSIGN_OR_RETURN(
-      journal,
-      RunJournal::Open(journal_options.path, run_id, journal_options.resume));
-  if (journal.recovered().size() > predictions.size()) {
-    return Status::FailedPrecondition(
-        "journal has more records than this run has predictions");
-  }
-  // Copy before any reopen: the journal's own vector dies with it.
-  const std::vector<PredictionRecord> recovered = journal.recovered();
-  const bool rewrite =
-      control.retry_truncated &&
-      std::any_of(recovered.begin(), recovered.end(),
-                  [](const PredictionRecord& r) { return !RecordComplete(r); });
-  if (rewrite) {
-    KELPIE_ASSIGN_OR_RETURN(
-        journal,
-        RunJournal::Open(journal_options.path, run_id, /*resume=*/false));
-    KELPIE_LOG(Info) << "retrying truncated predictions of sufficient run ("
-                     << recovered.size() << " journaled)";
-  } else if (!recovered.empty()) {
-    KELPIE_LOG(Info) << "resuming sufficient run: " << recovered.size() << "/"
-                     << predictions.size() << " predictions journaled";
-  }
-
-  SufficientRunResult result;
+  EndToEndResult result;
   for (size_t i = 0; i < predictions.size(); ++i) {
     trace::Span pred_span("xp.prediction");
     const bool replay =
@@ -486,31 +345,34 @@ Result<SufficientRunResult> RunSufficientEndToEndResumable(
       KELPIE_RETURN_IF_ERROR(
           CheckRecordedPrediction(recovered[i], predictions[i], i));
     }
-    PredictionCounter("sufficient", replay ? "replayed" : "fresh")
-        .Increment();
+    PredictionCounter(name, replay ? "replayed" : "fresh").Increment();
     if (replay) {
       const PredictionRecord& record = recovered[i];
       if (rewrite) {
         KELPIE_RETURN_IF_ERROR(journal.Append(record));
       }
       result.conversion_sets.push_back(record.conversion_set);
-      result.explanations.push_back(
-          RecordToExplanation(record, ExplanationKind::kSufficient));
+      result.explanations.push_back(RecordToExplanation(record, scenario));
       continue;
     }
     KELPIE_RETURN_IF_ERROR(CheckRunInterrupt(control, i, predictions.size()));
-    // Per-prediction conversion stream: a pure function of the seed, the
-    // prediction and its index, independent of how many predictions ran
-    // before — the property that makes resumed draws match fresh ones (and
-    // retried truncated extractions reuse the exact set they were first
-    // given).
-    Rng conversion_rng(
-        Mix64(Mix64(conversion_seed ^ predictions[i].Key()) ^ i));
-    std::vector<EntityId> conversion_set = SampleConversionEntities(
-        original_model, dataset, predictions[i], target, conversion_set_size,
-        conversion_rng);
-    Explanation x =
-        explainer.ExplainSufficient(predictions[i], target, conversion_set);
+    std::vector<EntityId> conversion_set;
+    Explanation x;
+    if (sufficient) {
+      // Per-prediction conversion stream: a pure function of the seed, the
+      // prediction and its index, independent of how many predictions ran
+      // before — the property that makes resumed draws match fresh ones
+      // (and retried truncated extractions reuse the exact set they were
+      // first given).
+      Rng conversion_rng(
+          Mix64(Mix64(conversion_seed ^ predictions[i].Key()) ^ i));
+      conversion_set = SampleConversionEntities(
+          original_model, dataset, predictions[i], target,
+          conversion_set_size, conversion_rng);
+      x = explainer.ExplainSufficient(predictions[i], target, conversion_set);
+    } else {
+      x = explainer.ExplainNecessary(predictions[i], target);
+    }
     x.seconds = 0.0;
     PredictionRecord record = ExplanationToRecord(predictions[i], x);
     record.conversion_set = conversion_set;
@@ -528,17 +390,29 @@ Result<SufficientRunResult> RunSufficientEndToEndResumable(
   KELPIE_RETURN_IF_ERROR(
       CheckRunInterrupt(control, predictions.size(), predictions.size()));
 
-  std::vector<Triple> converted =
-      ConversionPredictions(predictions, result.conversion_sets, target);
+  // Necessary: remove the explanations' facts and measure P. Sufficient:
+  // add their transfer onto the conversion sets and measure P_C.
+  std::vector<Triple> measured, removed, added;
+  if (sufficient) {
+    measured =
+        ConversionPredictions(predictions, result.conversion_sets, target);
+    added = TransferredFacts(predictions, result.explanations,
+                             result.conversion_sets, target);
+  } else {
+    measured = predictions;
+    std::unordered_set<uint64_t> seen;
+    for (const Explanation& x : result.explanations) {
+      for (const Triple& fact : x.facts) {
+        if (seen.insert(fact.Key()).second) removed.push_back(fact);
+      }
+    }
+  }
   MetricsAccumulator before;
-  for (const Triple& p : converted) {
+  for (const Triple& p : measured) {
     before.AddRank(FilteredRank(original_model, dataset, p, target));
   }
   result.before = LpMetrics{before.HitsAt(1), before.Mrr()};
-
-  std::vector<Triple> added = TransferredFacts(
-      predictions, result.explanations, result.conversion_sets, target);
-  result.after = RetrainAndMeasure(kind, dataset, converted, {}, added,
+  result.after = RetrainAndMeasure(kind, dataset, measured, removed, added,
                                    target, retrain_seed, control.retrain);
   KELPIE_RETURN_IF_ERROR(
       journal.AppendSummary(SummaryOfExplanations(result.explanations)));

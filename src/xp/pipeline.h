@@ -23,7 +23,8 @@ namespace kelpie {
 /// G_train (removed in the necessary scenario; transferred onto the
 /// conversion entities and added in the sufficient scenario), the model is
 /// retrained from scratch, and the change in H@1 / MRR over the involved
-/// predictions is the measured effectiveness.
+/// predictions is the measured effectiveness. RunEndToEnd is the one loop
+/// behind the paper tables and `kelpie xp`.
 /// -----------------------------------------------------------------------
 
 /// Samples up to `count` distinct test facts whose filtered rank on the
@@ -75,47 +76,6 @@ LpMetrics RetrainAndMeasureTails(ModelKind kind, const Dataset& dataset,
                                  const std::vector<Triple>& added,
                                  uint64_t retrain_seed);
 
-/// Result of one necessary-scenario end-to-end run.
-struct NecessaryRunResult {
-  /// Metrics over P after removal + retraining; the originals are 1.0 by
-  /// construction, so Δ = after - 1.0.
-  LpMetrics after;
-  double delta_h1() const { return after.hits_at_1 - 1.0; }
-  double delta_mrr() const { return after.mrr - 1.0; }
-  std::vector<Explanation> explanations;
-};
-
-/// Extracts necessary explanations for every prediction with `explainer`,
-/// removes their union from the training set, retrains and measures on the
-/// `target` side.
-NecessaryRunResult RunNecessaryEndToEnd(
-    Explainer& explainer, ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, uint64_t retrain_seed,
-    PredictionTarget target = PredictionTarget::kTail);
-
-/// Result of one sufficient-scenario end-to-end run.
-struct SufficientRunResult {
-  /// Metrics over the fictitious conversion predictions P_C before
-  /// (original model) and after (facts added + retraining).
-  LpMetrics before;
-  LpMetrics after;
-  double delta_h1() const { return after.hits_at_1 - before.hits_at_1; }
-  double delta_mrr() const { return after.mrr - before.mrr; }
-  std::vector<Explanation> explanations;
-  /// The conversion set of each prediction (aligned with `explanations`).
-  std::vector<std::vector<EntityId>> conversion_sets;
-};
-
-/// Extracts sufficient explanations (with per-prediction conversion sets of
-/// size `conversion_set_size` sampled from `rng`), adds the transferred
-/// facts, retrains and measures over P_C.
-SufficientRunResult RunSufficientEndToEnd(
-    Explainer& explainer, const LinkPredictionModel& original_model,
-    ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, size_t conversion_set_size,
-    Rng& rng, uint64_t retrain_seed,
-    PredictionTarget target = PredictionTarget::kTail);
-
 /// The conversion predictions of a sufficient run, flattened: each entity
 /// of a prediction's conversion set substitutes the source entity (the
 /// head for tail predictions).
@@ -133,19 +93,33 @@ std::vector<Triple> TransferredFacts(
     const std::vector<std::vector<EntityId>>& conversion_sets,
     PredictionTarget target = PredictionTarget::kTail);
 
-/// Where a resumable run keeps its journal, and whether to resume from it.
-struct JournalOptions {
-  std::string path;
+/// Result of one end-to-end run: (H@1, MRR) of the measured predictions
+/// under the original model (`before`) and under the retrained one
+/// (`after`). The necessary scenario measures P itself, so `before` is 1.0
+/// for sampled correct predictions; the sufficient scenario measures the
+/// fictitious conversion predictions P_C, which the original model does
+/// not rank first (H@1 0 by construction of the conversion sets).
+struct EndToEndResult {
+  LpMetrics before;
+  LpMetrics after;
+  double delta_h1() const { return after.hits_at_1 - before.hits_at_1; }
+  double delta_mrr() const { return after.mrr - before.mrr; }
+  std::vector<Explanation> explanations;
+  /// The conversion set of each prediction (aligned with `explanations`;
+  /// every set is empty in the necessary scenario).
+  std::vector<std::vector<EntityId>> conversion_sets;
+};
+
+/// Journal, interruption and retry policy of a run. The per-prediction
+/// extraction limits live on the Explainer (Explainer::SetExtractionLimits);
+/// this bundle governs the loop around it.
+struct RunControl {
+  /// Journal file of the run. Empty (the default) runs without a file:
+  /// nothing is replayed or written, and the run is otherwise the same.
+  std::string journal_path;
   /// True: replay complete records from an existing journal and continue
   /// after them. False: start fresh, discarding any existing journal.
   bool resume = false;
-};
-
-/// Run-level interruption and retry policy of a resumable run. The
-/// per-prediction extraction limits live on the Explainer
-/// (Explainer::SetExtractionLimits); this bundle governs the loop around
-/// it.
-struct RunControl {
   /// Checked before each fresh extraction and before retraining; a run that
   /// observes it journals nothing further and returns kCancelled, so every
   /// finished prediction (including a truncated in-flight one the shared
@@ -154,8 +128,8 @@ struct RunControl {
   /// Run-level absolute deadline; infinite by default. Checked at the same
   /// points as `cancel` and returns kDeadlineExceeded.
   Deadline deadline;
-  /// With JournalOptions::resume: journaled predictions whose completeness
-  /// is not kComplete are re-extracted under the explainer's current limits
+  /// With `resume`: journaled predictions whose completeness is not
+  /// kComplete are re-extracted under the explainer's current limits
   /// instead of replayed, and the journal is rewritten in place (complete
   /// records re-appended byte-identically). An upgrade run with larger
   /// limits thus converges to the journal an uninterrupted run would have
@@ -168,35 +142,36 @@ struct RunControl {
   RetrainOptions retrain;
 };
 
-/// Journaled variant of RunNecessaryEndToEnd: each prediction's extracted
-/// explanation is appended to the journal at `journal.path` before the next
-/// extraction starts, so a killed run restarted with `journal.resume`
-/// replays the finished predictions from disk and produces byte-identical
-/// final results (extraction is deterministic per prediction; journaled
-/// runs zero the wall-clock `seconds` field so replayed and fresh
-/// explanations compare equal). Returns `Status::FailedPrecondition` when
-/// the journal belongs to a different run configuration.
+/// Runs one end-to-end experiment (paper Section 5.3) over `predictions`
+/// on the `target` side. Each prediction is explained with `explainer` in
+/// the `scenario` kind; a sufficient explanation is extracted against a
+/// conversion set of up to `conversion_set_size` entities drawn from a
+/// stream seeded by (conversion_seed, prediction, index), so every set is
+/// the same whatever ran before it. The necessary scenario then removes
+/// the union of the explanations' facts from G_train and measures P; the
+/// sufficient one adds their transfer onto the conversion sets and
+/// measures P_C. The retrain uses `retrain_seed` and control.retrain.
+/// The necessary scenario ignores the two conversion parameters.
+///
+/// With control.journal_path set, each prediction's explanation is
+/// appended to the journal before the next extraction starts, so a killed
+/// run restarted with control.resume replays the finished predictions from
+/// disk and produces byte-identical results. Explanations carry
+/// `seconds = 0`, so replayed and fresh ones compare equal. Returns
+/// `Status::FailedPrecondition` when the journal belongs to a different
+/// run configuration (scenario, explainer, model, dataset, predictions,
+/// seeds, warm start).
 ///
 /// Test hook: failpoint `"pipeline.interrupt"` (value = prediction index)
 /// aborts the run right after that prediction's record is journaled,
 /// simulating a kill at a deterministic point.
-Result<NecessaryRunResult> RunNecessaryEndToEndResumable(
-    Explainer& explainer, ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, uint64_t retrain_seed,
-    PredictionTarget target, const JournalOptions& journal,
-    const RunControl& control = {});
-
-/// Journaled variant of RunSufficientEndToEnd. Unlike the non-resumable
-/// function (which draws all conversion sets from one shared Rng), each
-/// prediction's conversion set is sampled from an independent stream seeded
-/// by (conversion_seed, prediction, index) — so a resumed run reproduces
-/// exactly the sets an uninterrupted run would draw.
-Result<SufficientRunResult> RunSufficientEndToEndResumable(
+Result<EndToEndResult> RunEndToEnd(
     Explainer& explainer, const LinkPredictionModel& original_model,
     ModelKind kind, const Dataset& dataset,
-    const std::vector<Triple>& predictions, size_t conversion_set_size,
-    uint64_t conversion_seed, uint64_t retrain_seed, PredictionTarget target,
-    const JournalOptions& journal, const RunControl& control = {});
+    const std::vector<Triple>& predictions, ExplanationKind scenario,
+    size_t conversion_set_size, uint64_t conversion_seed,
+    uint64_t retrain_seed, PredictionTarget target = PredictionTarget::kTail,
+    const RunControl& control = {});
 
 /// Minimality study (paper Section 5.4): replaces each explanation by a
 /// random strict subset (uniform removal size in [1, len); length-1

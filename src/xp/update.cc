@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "common/hash.h"
 #include "common/record_file.h"
 #include "core/relevance_cache.h"
 #include "math/rng.h"
@@ -25,11 +26,11 @@ namespace {
 constexpr record_file::Format kJournalFormat{"KELPIEUD", 2};
 constexpr uint8_t kRowFrame = 1;
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The output of a SplitMix64 generator whose state is `x`: the
+/// golden-ratio increment, then Mix64. Not Mix64 itself: update rows and
+/// journal run ids persist its bits.
+uint64_t SplitMix64Next(uint64_t x) {
+  return Mix64(x + 0x9e3779b97f4a7c15ULL);
 }
 
 template <typename T>
@@ -48,16 +49,17 @@ bool ReadRaw(std::string_view bytes, size_t& off, T* value) {
 
 /// Seed of one affected entity's post-training stream: a pure function of
 /// the update seed, the entity, and its exact updated fact sequence — the
-/// same chain shape as the relevance engine's PostTrainSeed and the
-/// cache's KeyHash, under a third salt so the three streams stay
-/// independent.
+/// chain shape of EntityFactsHash (core/relevance_cache.h) stepped with
+/// SplitMix64Next under a third salt, so the stream stays independent of
+/// the engine's post-training seeds and the cache's keys.
 uint64_t UpdateRowSeed(uint64_t seed, EntityId entity,
                        const std::vector<Triple>& facts) {
-  uint64_t h = Mix64(seed ^ 0x1d0ba7e5ca1ab1e5ULL);
-  h = Mix64(h ^ static_cast<uint64_t>(static_cast<uint32_t>(entity)));
-  h = Mix64(h ^ static_cast<uint64_t>(facts.size()));
+  uint64_t h = SplitMix64Next(seed ^ 0x1d0ba7e5ca1ab1e5ULL);
+  h = SplitMix64Next(h ^
+                     static_cast<uint64_t>(static_cast<uint32_t>(entity)));
+  h = SplitMix64Next(h ^ static_cast<uint64_t>(facts.size()));
   for (const Triple& f : facts) {
-    h = Mix64(h ^ f.Key());
+    h = SplitMix64Next(h ^ f.Key());
   }
   return h;
 }
@@ -80,9 +82,9 @@ uint64_t ComputeRunId(uint64_t params_fingerprint, uint64_t seed,
     AppendRaw(canon, t.relation);
     AppendRaw(canon, t.tail);
   }
-  uint64_t h = Mix64(params_fingerprint ^ 0x5eed0fUL);
-  h = Mix64(h ^ seed);
-  h = Mix64(h ^ static_cast<uint64_t>(Crc32c(canon)));
+  uint64_t h = SplitMix64Next(params_fingerprint ^ 0x5eed0fUL);
+  h = SplitMix64Next(h ^ seed);
+  h = SplitMix64Next(h ^ static_cast<uint64_t>(Crc32c(canon)));
   return h;
 }
 

@@ -517,9 +517,10 @@ TEST_F(RetryTruncatedTest, UpgradeConvergesToUninterruptedRun) {
   ExtractionLimits tight;
   tight.work_budget = 2;
   small.SetExtractionLimits(tight);
-  Result<NecessaryRunResult> truncated = RunNecessaryEndToEndResumable(
-      small, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), false});
+  Result<EndToEndResult> truncated = RunEndToEnd(
+      small, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl")});
   ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
   size_t incomplete = 0;
   for (const Explanation& x : truncated->explanations) {
@@ -531,19 +532,22 @@ TEST_F(RetryTruncatedTest, UpgradeConvergesToUninterruptedRun) {
 
   // Reference: an uninterrupted unlimited run.
   KelpieExplainer unlimited(*model_, *dataset_, options);
-  Result<NecessaryRunResult> full = RunNecessaryEndToEndResumable(
-      unlimited, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("full.jnl"), false});
+  Result<EndToEndResult> full = RunEndToEnd(
+      unlimited, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("full.jnl")});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   // Upgrade pass: resume the truncated journal with retry under unlimited
   // limits. The explainer that just ran the reference is reused: what it
   // extracted before cannot change what it extracts now.
   RunControl control;
+  control.journal_path = Journal("run.jnl");
+  control.resume = true;
   control.retry_truncated = true;
-  Result<NecessaryRunResult> retried = RunNecessaryEndToEndResumable(
-      unlimited, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), true}, control);
+  Result<EndToEndResult> retried = RunEndToEnd(
+      unlimited, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail, control);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
 
   ASSERT_EQ(retried->explanations.size(), full->explanations.size());
@@ -570,16 +574,18 @@ TEST_F(RetryTruncatedTest, PlainResumeReplaysTruncatedRecords) {
   ExtractionLimits tight;
   tight.work_budget = 2;
   small.SetExtractionLimits(tight);
-  Result<NecessaryRunResult> first = RunNecessaryEndToEndResumable(
-      small, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), false});
+  Result<EndToEndResult> first = RunEndToEnd(
+      small, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl")});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const std::string bytes = ReadAll(Journal("run.jnl"));
 
   KelpieExplainer unlimited(*model_, *dataset_, options);
-  Result<NecessaryRunResult> resumed = RunNecessaryEndToEndResumable(
-      unlimited, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), true});
+  Result<EndToEndResult> resumed = RunEndToEnd(
+      unlimited, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl"), .resume = true});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed->explanations.size(), first->explanations.size());
   for (size_t i = 0; i < first->explanations.size(); ++i) {
@@ -596,16 +602,18 @@ TEST_F(RetryTruncatedTest, CancelledRunControlStopsBeforeExtracting) {
   options.num_threads = 1;
   KelpieExplainer explainer(*model_, *dataset_, options);
   RunControl control;
+  control.journal_path = Journal("run.jnl");
   control.cancel.RequestCancel();
-  Result<NecessaryRunResult> result = RunNecessaryEndToEndResumable(
-      explainer, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), false}, control);
+  Result<EndToEndResult> result = RunEndToEnd(
+      explainer, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail, control);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   // The journal is valid (header only) and resumable after the cancel.
-  Result<NecessaryRunResult> resumed = RunNecessaryEndToEndResumable(
-      explainer, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), true});
+  Result<EndToEndResult> resumed = RunEndToEnd(
+      explainer, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl"), .resume = true});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 }
 
@@ -614,10 +622,11 @@ TEST_F(RetryTruncatedTest, ExpiredRunDeadlineStopsWithDeadlineExceeded) {
   options.num_threads = 1;
   KelpieExplainer explainer(*model_, *dataset_, options);
   RunControl control;
+  control.journal_path = Journal("run.jnl");
   control.deadline = Deadline::After(0.0);
-  Result<SufficientRunResult> result = RunSufficientEndToEndResumable(
-      explainer, *model_, ModelKind::kComplEx, *dataset_, predictions_, 2, 5,
-      7, PredictionTarget::kTail, {Journal("run.jnl"), false}, control);
+  Result<EndToEndResult> result = RunEndToEnd(
+      explainer, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kSufficient, 2, 5, 7, PredictionTarget::kTail, control);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }

@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/criage.h"
-#include "common/trace.h"
 #include "baselines/data_poisoning.h"
+#include "common/logging.h"
+#include "common/trace.h"
 #include "core/kelpie.h"
 #include "datagen/datasets.h"
 #include "eval/evaluator.h"
@@ -18,6 +19,21 @@
 
 namespace kelpie {
 namespace {
+
+/// An unjournaled necessary tail run; without a journal, cancel token or
+/// deadline nothing can fail it.
+EndToEndResult RunNecessary(Explainer& explainer,
+                            const LinkPredictionModel& model,
+                            const Dataset& dataset,
+                            const std::vector<Triple>& predictions,
+                            uint64_t retrain_seed) {
+  Result<EndToEndResult> run = RunEndToEnd(
+      explainer, model, ModelKind::kComplEx, dataset, predictions,
+      ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+      /*conversion_seed=*/0, retrain_seed);
+  KELPIE_CHECK(run.ok()) << run.status().ToString();
+  return std::move(run).value();
+}
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -62,8 +78,8 @@ TEST_F(IntegrationTest, KelpieNecessaryBeatsRemovingNothing) {
   options.engine.conversion_set_size = 4;
   options.builder.max_visits_per_size = 15;
   KelpieExplainer kelpie(*model_, *dataset_, options);
-  NecessaryRunResult kelpie_run = RunNecessaryEndToEnd(
-      kelpie, ModelKind::kComplEx, *dataset_, predictions, 77);
+  EndToEndResult kelpie_run =
+      RunNecessary(kelpie, *model_, *dataset_, predictions, 77);
 
   LpMetrics unchanged = RetrainAndMeasureTails(
       ModelKind::kComplEx, *dataset_, predictions, {}, {}, 77);
@@ -87,14 +103,16 @@ TEST_F(IntegrationTest, SufficientExplanationsConvertEntities) {
   options.engine.conversion_set_size = 3;
   options.builder.max_visits_per_size = 10;
   KelpieExplainer kelpie(*model_, *dataset_, options);
-  SufficientRunResult run = RunSufficientEndToEnd(
-      kelpie, *model_, ModelKind::kComplEx, *dataset_, predictions, 3, rng,
-      79);
+  Result<EndToEndResult> run = RunEndToEnd(
+      kelpie, *model_, ModelKind::kComplEx, *dataset_, predictions,
+      ExplanationKind::kSufficient, /*conversion_set_size=*/3,
+      /*conversion_seed=*/33, 79);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
   // Before: conversion entities do not predict the target (H@1 == 0).
-  EXPECT_DOUBLE_EQ(run.before.hits_at_1, 0.0);
+  EXPECT_DOUBLE_EQ(run->before.hits_at_1, 0.0);
   // After adding the explanation facts and retraining, some conversions
   // should succeed.
-  EXPECT_GT(run.after.mrr, run.before.mrr);
+  EXPECT_GT(run->after.mrr, run->before.mrr);
 }
 
 TEST_F(IntegrationTest, BaselinesRunEndToEnd) {
@@ -104,16 +122,16 @@ TEST_F(IntegrationTest, BaselinesRunEndToEnd) {
   ASSERT_GE(predictions.size(), 1u);
 
   DataPoisoningExplainer dp(*model_, *dataset_);
-  NecessaryRunResult dp_run = RunNecessaryEndToEnd(
-      dp, ModelKind::kComplEx, *dataset_, predictions, 81);
+  EndToEndResult dp_run =
+      RunNecessary(dp, *model_, *dataset_, predictions, 81);
   EXPECT_EQ(dp_run.explanations.size(), predictions.size());
   for (const Explanation& x : dp_run.explanations) {
     EXPECT_LE(x.size(), 1u);
   }
 
   CriageExplainer criage(*model_, *dataset_);
-  NecessaryRunResult criage_run = RunNecessaryEndToEnd(
-      criage, ModelKind::kComplEx, *dataset_, predictions, 83);
+  EndToEndResult criage_run =
+      RunNecessary(criage, *model_, *dataset_, predictions, 83);
   EXPECT_EQ(criage_run.explanations.size(), predictions.size());
 }
 
@@ -129,8 +147,8 @@ TEST_F(IntegrationTest, KelpieExplanationsBeatRandomRemovalOfSameSize) {
   KelpieOptions options;
   options.builder.max_visits_per_size = 15;
   KelpieExplainer kelpie(*model_, *dataset_, options);
-  NecessaryRunResult kelpie_run = RunNecessaryEndToEnd(
-      kelpie, ModelKind::kComplEx, *dataset_, predictions, 91);
+  EndToEndResult kelpie_run =
+      RunNecessary(kelpie, *model_, *dataset_, predictions, 91);
 
   // Random control: same per-prediction removal budget, drawn uniformly
   // from the same entity's facts.
@@ -167,8 +185,8 @@ TEST_F(IntegrationTest, MinimalitySubsamplingWeakensExplanations) {
   KelpieOptions options;
   options.builder.max_visits_per_size = 10;
   KelpieExplainer kelpie(*model_, *dataset_, options);
-  NecessaryRunResult full_run = RunNecessaryEndToEnd(
-      kelpie, ModelKind::kComplEx, *dataset_, predictions, 85);
+  EndToEndResult full_run =
+      RunNecessary(kelpie, *model_, *dataset_, predictions, 85);
 
   std::vector<std::vector<Triple>> sub =
       SubsampleExplanations(full_run.explanations, rng);

@@ -1,5 +1,10 @@
 #include "xp/pipeline.h"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "baselines/data_poisoning.h"
@@ -116,11 +121,79 @@ TEST_F(PipelineTest, NecessaryEndToEndWithDpBaseline) {
       SampleCorrectTailPredictions(*model_, *dataset_, 2, rng);
   ASSERT_FALSE(sample.empty());
   DataPoisoningExplainer dp(*model_, *dataset_);
-  NecessaryRunResult result =
-      RunNecessaryEndToEnd(dp, ModelKind::kComplEx, *dataset_, sample, 7);
-  EXPECT_EQ(result.explanations.size(), sample.size());
-  EXPECT_LE(result.delta_h1(), 0.0);   // can only get worse or stay
-  EXPECT_LE(result.delta_mrr(), 0.0);
+  Result<EndToEndResult> result = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, sample,
+      ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+      /*conversion_seed=*/0, 7);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->explanations.size(), sample.size());
+  // Sampled predictions are correct, so the original model ranks them all
+  // first.
+  EXPECT_EQ(result->before.hits_at_1, 1.0);
+  EXPECT_EQ(result->before.mrr, 1.0);
+  EXPECT_LE(result->delta_h1(), 0.0);   // can only get worse or stay
+  EXPECT_LE(result->delta_mrr(), 0.0);
+}
+
+// The journal only records: the same run with and without one extracts the
+// same explanations against the same conversion sets and measures the same
+// metrics, in both scenarios and both prediction directions.
+TEST_F(PipelineTest, JournalDoesNotChangeResults) {
+  const std::string journal =
+      (std::filesystem::temp_directory_path() /
+       ("kelpie_pipeline_test_" + std::to_string(::getpid()) + ".jnl"))
+          .string();
+  // Any facts will do: the loop does not require correct predictions.
+  const std::vector<Triple> predictions(dataset_->test().begin(),
+                                        dataset_->test().begin() + 2);
+  DataPoisoningExplainer dp(*model_, *dataset_);
+  for (ExplanationKind scenario :
+       {ExplanationKind::kNecessary, ExplanationKind::kSufficient}) {
+    for (PredictionTarget target :
+         {PredictionTarget::kTail, PredictionTarget::kHead}) {
+      SCOPED_TRACE(std::string(scenario == ExplanationKind::kNecessary
+                                   ? "necessary"
+                                   : "sufficient") +
+                   (target == PredictionTarget::kTail ? " tail" : " head"));
+      Result<EndToEndResult> plain =
+          RunEndToEnd(dp, *model_, ModelKind::kComplEx, *dataset_,
+                      predictions, scenario, 3, 5, 7, target);
+      RunControl control;
+      control.journal_path = journal;
+      Result<EndToEndResult> journaled =
+          RunEndToEnd(dp, *model_, ModelKind::kComplEx, *dataset_,
+                      predictions, scenario, 3, 5, 7, target, control);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(journaled.ok()) << journaled.status().ToString();
+      EXPECT_TRUE(std::filesystem::exists(journal));
+
+      ASSERT_EQ(plain->explanations.size(), predictions.size());
+      ASSERT_EQ(journaled->explanations.size(), predictions.size());
+      for (size_t i = 0; i < predictions.size(); ++i) {
+        const Explanation& a = plain->explanations[i];
+        const Explanation& b = journaled->explanations[i];
+        EXPECT_EQ(a.kind, scenario);
+        EXPECT_EQ(b.kind, scenario);
+        EXPECT_EQ(a.facts, b.facts) << "prediction " << i;
+        EXPECT_EQ(a.relevance, b.relevance) << "prediction " << i;
+        EXPECT_EQ(a.accepted, b.accepted) << "prediction " << i;
+        EXPECT_EQ(a.post_trainings, b.post_trainings) << "prediction " << i;
+        EXPECT_EQ(a.completeness, b.completeness) << "prediction " << i;
+        EXPECT_EQ(a.seconds, 0.0) << "the loop zeroes wall-clock time";
+        EXPECT_EQ(b.seconds, 0.0);
+      }
+      ASSERT_EQ(plain->conversion_sets.size(), predictions.size());
+      EXPECT_EQ(plain->conversion_sets, journaled->conversion_sets);
+      for (const std::vector<EntityId>& set : plain->conversion_sets) {
+        EXPECT_EQ(set.empty(), scenario == ExplanationKind::kNecessary);
+      }
+      EXPECT_EQ(plain->before.hits_at_1, journaled->before.hits_at_1);
+      EXPECT_EQ(plain->before.mrr, journaled->before.mrr);
+      EXPECT_EQ(plain->after.hits_at_1, journaled->after.hits_at_1);
+      EXPECT_EQ(plain->after.mrr, journaled->after.mrr);
+    }
+  }
+  std::filesystem::remove(journal);
 }
 
 TEST_F(PipelineTest, ConversionPredictionsFlattenSets) {
@@ -186,17 +259,19 @@ TEST_F(PipelineTest, HeadDirectionNecessaryEndToEnd) {
       *model_, *dataset_, 2, PredictionTarget::kHead, rng);
   if (sample.empty()) GTEST_SKIP() << "no correct head predictions";
   DataPoisoningExplainer dp(*model_, *dataset_);
-  NecessaryRunResult result =
-      RunNecessaryEndToEnd(dp, ModelKind::kComplEx, *dataset_, sample, 7,
-                           PredictionTarget::kHead);
-  EXPECT_EQ(result.explanations.size(), sample.size());
+  Result<EndToEndResult> result = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, sample,
+      ExplanationKind::kNecessary, /*conversion_set_size=*/0,
+      /*conversion_seed=*/0, 7, PredictionTarget::kHead);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->explanations.size(), sample.size());
   // Facts come from the tail entity (the head-prediction source).
   for (size_t i = 0; i < sample.size(); ++i) {
-    for (const Triple& f : result.explanations[i].facts) {
+    for (const Triple& f : result->explanations[i].facts) {
       EXPECT_TRUE(f.Mentions(sample[i].tail));
     }
   }
-  EXPECT_LE(result.delta_h1(), 0.0);
+  EXPECT_LE(result->delta_h1(), 0.0);
 }
 
 TEST_F(PipelineTest, HeadDirectionConversionReplacesTail) {

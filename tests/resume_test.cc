@@ -62,24 +62,27 @@ TEST_F(ResumeTest, NecessaryInterruptedThenResumedIsByteIdentical) {
   DataPoisoningExplainer dp(*model_, *dataset_);
 
   // Reference: uninterrupted journaled run.
-  Result<NecessaryRunResult> full = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("full.jnl"), false});
+  Result<EndToEndResult> full = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("full.jnl")});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   // Interrupted run: killed right after the first prediction is journaled.
   failpoint::Arm("pipeline.interrupt", /*match=*/0, /*times=*/1);
-  Result<NecessaryRunResult> interrupted = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("kill.jnl"), false});
+  Result<EndToEndResult> interrupted = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl")});
   ASSERT_FALSE(interrupted.ok());
   EXPECT_EQ(interrupted.status().code(), StatusCode::kAborted);
   failpoint::DisarmAll();
 
   // Resume replays prediction 0 from disk and finishes the rest fresh.
-  Result<NecessaryRunResult> resumed = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("kill.jnl"), true});
+  Result<EndToEndResult> resumed = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl"), .resume = true});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   ExpectSameExplanations(full->explanations, resumed->explanations);
@@ -92,25 +95,26 @@ TEST_F(ResumeTest, SufficientInterruptedThenResumedIsByteIdentical) {
   const size_t conversion_set_size = 3;
   const uint64_t conversion_seed = 5;
 
-  Result<SufficientRunResult> full = RunSufficientEndToEndResumable(
+  Result<EndToEndResult> full = RunEndToEnd(
       dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
-      conversion_set_size, conversion_seed, 7, PredictionTarget::kTail,
-      {Journal("full.jnl"), false});
+      ExplanationKind::kSufficient, conversion_set_size, conversion_seed, 7,
+      PredictionTarget::kTail, {.journal_path = Journal("full.jnl")});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   failpoint::Arm("pipeline.interrupt", /*match=*/0, /*times=*/1);
-  Result<SufficientRunResult> interrupted = RunSufficientEndToEndResumable(
+  Result<EndToEndResult> interrupted = RunEndToEnd(
       dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
-      conversion_set_size, conversion_seed, 7, PredictionTarget::kTail,
-      {Journal("kill.jnl"), false});
+      ExplanationKind::kSufficient, conversion_set_size, conversion_seed, 7,
+      PredictionTarget::kTail, {.journal_path = Journal("kill.jnl")});
   ASSERT_FALSE(interrupted.ok());
   EXPECT_EQ(interrupted.status().code(), StatusCode::kAborted);
   failpoint::DisarmAll();
 
-  Result<SufficientRunResult> resumed = RunSufficientEndToEndResumable(
+  Result<EndToEndResult> resumed = RunEndToEnd(
       dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
-      conversion_set_size, conversion_seed, 7, PredictionTarget::kTail,
-      {Journal("kill.jnl"), true});
+      ExplanationKind::kSufficient, conversion_set_size, conversion_seed, 7,
+      PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl"), .resume = true});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   ExpectSameExplanations(full->explanations, resumed->explanations);
@@ -128,21 +132,24 @@ TEST_F(ResumeTest, SufficientInterruptedThenResumedIsByteIdentical) {
 TEST_F(ResumeTest, ResumedJournalSummaryMatchesUninterruptedByteForByte) {
   DataPoisoningExplainer dp(*model_, *dataset_);
 
-  Result<NecessaryRunResult> full = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("full.jnl"), false});
+  Result<EndToEndResult> full = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("full.jnl")});
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   failpoint::Arm("pipeline.interrupt", /*match=*/0, /*times=*/1);
-  Result<NecessaryRunResult> interrupted = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("kill.jnl"), false});
+  Result<EndToEndResult> interrupted = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl")});
   ASSERT_FALSE(interrupted.ok());
   failpoint::DisarmAll();
 
-  Result<NecessaryRunResult> resumed = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("kill.jnl"), true});
+  Result<EndToEndResult> resumed = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl"), .resume = true});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   auto read_all = [](const std::string& path) {
@@ -158,40 +165,69 @@ TEST_F(ResumeTest, ResumedJournalSummaryMatchesUninterruptedByteForByte) {
 
   // Re-resuming the finished journal surfaces the summary and replays all
   // records; the replayed run then re-appends an identical summary.
-  Result<NecessaryRunResult> replay = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("kill.jnl"), true});
+  Result<EndToEndResult> replay = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("kill.jnl"), .resume = true});
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(read_all(Journal("kill.jnl")), full_bytes);
 }
 
 TEST_F(ResumeTest, ResumeWithDifferentPredictionsRefuses) {
   DataPoisoningExplainer dp(*model_, *dataset_);
-  Result<NecessaryRunResult> first = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), false});
+  Result<EndToEndResult> first = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl")});
   ASSERT_TRUE(first.ok());
 
   // Any change to the configuration (here: a different prediction sample)
   // changes the run id and resume must refuse.
   std::vector<Triple> other(predictions_.begin(), predictions_.end() - 1);
-  Result<NecessaryRunResult> mismatch = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, other, 7, PredictionTarget::kTail,
-      {Journal("run.jnl"), true});
+  Result<EndToEndResult> mismatch = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, other,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl"), .resume = true});
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// The explainer is part of the run configuration: a journal of one
+// framework's explanations never replays as another's.
+TEST_F(ResumeTest, ResumeWithDifferentExplainerRefuses) {
+  DataPoisoningExplainer dp(*model_, *dataset_);
+  Result<EndToEndResult> first = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl")});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  KelpieExplainer kelpie(*model_, *dataset_, KelpieOptions{});
+  KelpieExplainer k1(*model_, *dataset_, KelpieOptions{}, /*k1_only=*/true);
+  for (Explainer* other : {static_cast<Explainer*>(&kelpie),
+                           static_cast<Explainer*>(&k1)}) {
+    Result<EndToEndResult> mismatch = RunEndToEnd(
+        *other, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+        ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+        {.journal_path = Journal("run.jnl"), .resume = true});
+    ASSERT_FALSE(mismatch.ok()) << other->Name();
+    EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition)
+        << other->Name();
+  }
+}
+
 TEST_F(ResumeTest, ResumeOfCompletedRunReplaysEverything) {
   DataPoisoningExplainer dp(*model_, *dataset_);
-  Result<NecessaryRunResult> full = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), false});
+  Result<EndToEndResult> full = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl")});
   ASSERT_TRUE(full.ok());
 
-  Result<NecessaryRunResult> replay = RunNecessaryEndToEndResumable(
-      dp, ModelKind::kComplEx, *dataset_, predictions_, 7,
-      PredictionTarget::kTail, {Journal("run.jnl"), true});
+  Result<EndToEndResult> replay = RunEndToEnd(
+      dp, *model_, ModelKind::kComplEx, *dataset_, predictions_,
+      ExplanationKind::kNecessary, 0, 0, 7, PredictionTarget::kTail,
+      {.journal_path = Journal("run.jnl"), .resume = true});
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ExpectSameExplanations(full->explanations, replay->explanations);
   EXPECT_EQ(full->after.mrr, replay->after.mrr);

@@ -102,6 +102,9 @@ TEST_F(TraceTest, MaskedJsonIsDeterministicAcrossRuns) {
   const std::string first = run_workload();
   const std::string second = run_workload();
   EXPECT_EQ(first, second);
+  // Below the ring's capacity nothing is dropped and the forest renders
+  // exactly as an unbounded list would.
+  EXPECT_EQ(Collector::Global().dropped(), 0u);
   EXPECT_EQ(first,
             "[{\"name\":\"run\",\"start_seconds\":\"MASKED\","
             "\"duration_seconds\":\"MASKED\",\"children\":["
@@ -133,6 +136,60 @@ TEST_F(TraceTest, OrphanedChildrenBecomeRoots) {
   EXPECT_NE(json.find("\"name\":\"orphan\""), std::string::npos);
 }
 
+// A collector left on (kelpie serve --metrics-out) keeps only the newest
+// kCapacity spans; the overwritten ones are counted, and the count reaches
+// the snapshot.
+TEST_F(TraceTest, RingKeepsNewestSpansAndCountsDrops) {
+  constexpr size_t kExtra = 5;
+  Collector::Global().Enable();
+  for (size_t i = 0; i < Collector::kCapacity + kExtra; ++i) {
+    Span span("s");
+  }
+  Collector::Global().Disable();
+
+  const std::vector<SpanRecord> spans = Collector::Global().Finished();
+  ASSERT_EQ(spans.size(), Collector::kCapacity);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    ASSERT_EQ(spans[i].id, kExtra + 1 + i) << "slot " << i;
+  }
+  EXPECT_EQ(Collector::Global().dropped(), kExtra);
+  EXPECT_NE(ObservabilitySnapshotJson(true).find(
+                ",\"spans_dropped\":" + std::to_string(kExtra) + "}"),
+            std::string::npos);
+
+  Collector::Global().Clear();
+  EXPECT_EQ(Collector::Global().dropped(), 0u);
+  EXPECT_TRUE(Collector::Global().Finished().empty());
+}
+
+TEST_F(TraceTest, SpanWhoseParentWasOverwrittenRendersAsRoot) {
+  Collector::Global().Enable();
+  // A parent recorded before its child (the child finished later on another
+  // thread) is the oldest record, so the first overflow overwrites it.
+  SpanRecord parent;
+  parent.id = 1;
+  parent.name = "parent";
+  Collector::Global().Record(parent);
+  SpanRecord child;
+  child.id = 2;
+  child.parent = 1;
+  child.name = "child";
+  Collector::Global().Record(child);
+  for (size_t i = 0; i < Collector::kCapacity - 1; ++i) {
+    SpanRecord filler;
+    filler.id = 3 + i;
+    filler.name = "f";
+    Collector::Global().Record(filler);
+  }
+  Collector::Global().Disable();
+
+  EXPECT_EQ(Collector::Global().dropped(), 1u);
+  const std::string json = Collector::Global().ToJson(true);
+  EXPECT_EQ(json.find("\"name\":\"parent\""), std::string::npos);
+  EXPECT_EQ(json.rfind("[{\"name\":\"child\",", 0), 0u)
+      << json.substr(0, 120);
+}
+
 TEST_F(TraceTest, ObservabilitySnapshotCombinesMetricsAndSpans) {
   metrics::ScopedRegistry scoped;
   metrics::Registry::Global()
@@ -147,6 +204,7 @@ TEST_F(TraceTest, ObservabilitySnapshotCombinesMetricsAndSpans) {
   EXPECT_NE(json.find("kelpie_snapshot_probe_total"), std::string::npos);
   EXPECT_NE(json.find("\"spans\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"snapshot_probe\""), std::string::npos);
+  EXPECT_NE(json.find(",\"spans_dropped\":0}"), std::string::npos);
 }
 
 // TSan target: spans opened/closed from pool workers while every worker

@@ -915,7 +915,6 @@ Status CmdXp(const Args& args) {
   options.num_threads = threads;
   options.engine.quantized_shortlist = args.Has("quant-shortlist");
   KelpieExplainer explainer(**model, *dataset, options);
-  JournalOptions journal{args.Get("journal"), args.Has("resume")};
 
   // Bounded extraction: Ctrl-C (or SIGTERM) flips the shared cancel token;
   // the in-flight extraction stops at its next candidate boundary, its
@@ -927,9 +926,11 @@ Status CmdXp(const Args& args) {
   ExtractionLimits limits;
   KELPIE_ASSIGN_OR_RETURN(limits, ParseExtractionLimits(args, cancel));
   RunControl control;
+  control.journal_path = args.Get("journal");
+  control.resume = args.Has("resume");
   control.cancel = cancel;
   control.retry_truncated = args.Has("retry-truncated");
-  if (control.retry_truncated && !journal.resume) {
+  if (control.retry_truncated && !control.resume) {
     return Status::InvalidArgument(
         "--retry-truncated only makes sense with --resume");
   }
@@ -966,34 +967,25 @@ Status CmdXp(const Args& args) {
   // Wall-clock over the whole run (extraction + end-to-end retrain): the
   // number EXPERIMENTS.md quotes for the warm-start retrain speedup.
   Stopwatch run_timer;
-  if (scenario == "necessary") {
-    Result<NecessaryRunResult> result = RunNecessaryEndToEndResumable(
-        explainer, kind.value(), *dataset, predictions, retrain_seed,
-        PredictionTarget::kTail, journal, control);
-    if (!result.ok()) return result.status();
-    std::printf("necessary scenario over %zu predictions (journal %s):\n",
-                predictions.size(), args.Get("journal").c_str());
-    std::printf("  after removal + retraining: H@1 %.3f  MRR %.3f  "
-                "(ΔH@1 %+.3f, ΔMRR %+.3f)\n",
-                result->after.hits_at_1, result->after.mrr,
-                result->delta_h1(), result->delta_mrr());
-    PrintTruncationSummary(result->explanations);
-  } else {
-    Result<SufficientRunResult> result = RunSufficientEndToEndResumable(
-        explainer, **model, kind.value(), *dataset, predictions,
-        conversion_set_size, conversion_seed, retrain_seed,
-        PredictionTarget::kTail, journal, control);
-    if (!result.ok()) return result.status();
-    std::printf("sufficient scenario over %zu predictions (journal %s):\n",
-                predictions.size(), args.Get("journal").c_str());
+  const bool sufficient = scenario == "sufficient";
+  Result<EndToEndResult> result = RunEndToEnd(
+      explainer, **model, kind.value(), *dataset, predictions,
+      sufficient ? ExplanationKind::kSufficient : ExplanationKind::kNecessary,
+      conversion_set_size, conversion_seed, retrain_seed,
+      PredictionTarget::kTail, control);
+  if (!result.ok()) return result.status();
+  std::printf("%s scenario over %zu predictions (journal %s):\n",
+              scenario.c_str(), predictions.size(),
+              control.journal_path.c_str());
+  if (sufficient) {
     std::printf("  conversions before: H@1 %.3f  MRR %.3f\n",
                 result->before.hits_at_1, result->before.mrr);
-    std::printf("  after transfer + retraining: H@1 %.3f  MRR %.3f  "
-                "(ΔH@1 %+.3f, ΔMRR %+.3f)\n",
-                result->after.hits_at_1, result->after.mrr,
-                result->delta_h1(), result->delta_mrr());
-    PrintTruncationSummary(result->explanations);
   }
+  std::printf("  after %s + retraining: H@1 %.3f  MRR %.3f  "
+              "(ΔH@1 %+.3f, ΔMRR %+.3f)\n",
+              sufficient ? "transfer" : "removal", result->after.hits_at_1,
+              result->after.mrr, result->delta_h1(), result->delta_mrr());
+  PrintTruncationSummary(result->explanations);
   std::printf("  wall time: %.2fs%s\n", run_timer.ElapsedSeconds(),
               control.retrain.warm_start_checkpoint.empty()
                   ? ""
