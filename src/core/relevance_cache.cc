@@ -3,7 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <unordered_set>
 #include <utility>
 
@@ -25,6 +26,33 @@ namespace {
 constexpr record_file::Format kFormat{"KELPRC1\n", 2};
 constexpr uint8_t kEntryFrame = 1;
 constexpr size_t kPayloadFixed = 12;
+
+/// An output sink that keeps only the CRC32C and the count of the bytes
+/// written through it: the parameter fingerprint streams SaveParameters
+/// here instead of copying every parameter into a string first.
+class Crc32cSink : public std::streambuf {
+ public:
+  uint32_t crc() const { return crc_; }
+  uint64_t size() const { return size_; }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    crc_ = Crc32cExtend(crc_, s, static_cast<size_t>(n));
+    size_ += static_cast<uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  uint32_t crc_ = 0;
+  uint64_t size_ = 0;
+};
 
 template <typename T>
 void AppendRaw(std::string& out, T value) {
@@ -467,9 +495,9 @@ Result<RelevanceCacheFileInfo> RelevanceCache::Inspect(
 
 uint64_t ComputeModelFingerprint(const LinkPredictionModel& model,
                                  uint64_t engine_seed) {
-  std::ostringstream params;
+  Crc32cSink sink;
+  std::ostream params(&sink);
   const Status saved = model.SaveParameters(params);
-  const std::string blob = params.str();
   auto mix_f = [](uint64_t h, float v) {
     return Mix64(h ^ std::bit_cast<uint32_t>(v));
   };
@@ -494,8 +522,8 @@ uint64_t ComputeModelFingerprint(const LinkPredictionModel& model,
   h = mix_f(h, cfg.input_dropout);
   h = mix_f(h, cfg.feature_dropout);
   h = mix_f(h, cfg.hidden_dropout);
-  h = Mix64(h ^ (saved.ok() ? Crc32c(blob) : 0xdeadULL));
-  h = Mix64(h ^ blob.size());
+  h = Mix64(h ^ (saved.ok() ? sink.crc() : 0xdeadULL));
+  h = Mix64(h ^ sink.size());
   h = Mix64(h ^ engine_seed);
   return h;
 }

@@ -98,6 +98,38 @@ Dataset Dataset::WithModifiedTraining(const std::vector<Triple>& removed,
                  test_);
 }
 
+std::vector<Triple> Dataset::ModifiedTrainingFactsOf(
+    EntityId e, const std::vector<Triple>& removed,
+    const std::vector<Triple>& added) const {
+  // Only triples mentioning `e` can be in its list, so only those removals
+  // matter.
+  std::unordered_set<uint64_t> to_remove;
+  for (const Triple& t : removed) {
+    if (t.Mentions(e)) to_remove.insert(t.Key());
+  }
+  const GraphIndex& graph = train_graph();
+  // Every copy of a triple mentioning `e` is in FactIndicesOf(e), in
+  // training order, so deduplicating that list keeps the global first copy;
+  // an added triple mentioning `e` is already present iff it is in here.
+  std::unordered_set<uint64_t> present;
+  present.reserve(graph.Degree(e) + added.size());
+  std::vector<Triple> facts;
+  facts.reserve(graph.Degree(e) + added.size());
+  for (uint32_t i : graph.FactIndicesOf(e)) {
+    const Triple& t = graph.triples()[i];
+    if (to_remove.count(t.Key()) == 0 && present.insert(t.Key()).second) {
+      facts.push_back(t);
+    }
+  }
+  for (const Triple& t : added) {
+    if (t.Mentions(e) && to_remove.count(t.Key()) == 0 &&
+        present.insert(t.Key()).second) {
+      facts.push_back(t);
+    }
+  }
+  return facts;
+}
+
 DatasetStats ComputeStats(const Dataset& dataset) {
   DatasetStats stats;
   stats.name = dataset.name();

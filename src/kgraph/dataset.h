@@ -65,8 +65,21 @@ class Dataset {
   /// dictionaries are preserved. This is the mutation primitive of the
   /// end-to-end evaluation: explanations are applied to G_train and the
   /// model is retrained from scratch.
+  ///
+  /// The new training split is the kept training triples in their order
+  /// (first copy of a duplicate), then the new added triples in `added`
+  /// order; ModifiedTrainingFactsOf reads one entity's slice of it without
+  /// building it.
   Dataset WithModifiedTraining(const std::vector<Triple>& removed,
                                const std::vector<Triple>& added) const;
+
+  /// WithModifiedTraining(removed, added).train_graph().FactsOf(e), read
+  /// off this dataset's training graph instead of a rebuilt one:
+  /// O(Degree(e) + |removed| + |added|). Empty when the modification leaves
+  /// `e` with no training fact.
+  std::vector<Triple> ModifiedTrainingFactsOf(
+      EntityId e, const std::vector<Triple>& removed,
+      const std::vector<Triple>& added) const;
 
  private:
   void BuildIndexes();

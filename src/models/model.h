@@ -203,7 +203,12 @@ class LinkPredictionModel {
   /// Post-training (the Relevance Engine primitive): returns a freshly
   /// initialized embedding row trained on `facts` — in which every mention
   /// of `entity` denotes the mimic — with all other parameters frozen.
-  /// `dataset` supplies candidate pools for sampled/contrast terms.
+  ///
+  /// Dataset contract: implementations may read `dataset`'s entity count
+  /// (the pool sampled negatives are drawn from), never its facts — `facts`
+  /// is the whole training signal. Incremental updates (xp/update.h) rely
+  /// on this: they post-train against the pre-update dataset with the
+  /// updated fact lists, without building the updated dataset.
   ///
   /// Seeding contract: implementations must draw *all* randomness
   /// (initialization, shuffling, sampled negatives, dropout masks) from

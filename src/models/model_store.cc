@@ -128,6 +128,20 @@ Status SaveModel(const LinkPredictionModel& model, ModelKind kind,
   return WriteFileAtomic(path, image);
 }
 
+Status CheckModelMatchesDataset(const LinkPredictionModel& model,
+                                const Dataset& dataset) {
+  if (model.num_entities() == dataset.num_entities() &&
+      model.num_relations() == dataset.num_relations()) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "model/dataset vocabulary mismatch: model has " +
+      std::to_string(model.num_entities()) + " entities / " +
+      std::to_string(model.num_relations()) + " relations, dataset '" +
+      dataset.name() + "' has " + std::to_string(dataset.num_entities()) +
+      " / " + std::to_string(dataset.num_relations()));
+}
+
 Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
     const std::string& path) {
   KELPIE_ASSIGN_OR_RETURN(record_file::Reader reader,

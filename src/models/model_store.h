@@ -29,6 +29,13 @@ Status SaveModel(const LinkPredictionModel& model, ModelKind kind,
 Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
     const std::string& path);
 
+/// InvalidArgument unless `model` has exactly `dataset`'s entity and
+/// relation counts. Every caller that pairs a loaded model with a dataset
+/// checks this first: ids of a larger vocabulary index past the model's
+/// tables.
+Status CheckModelMatchesDataset(const LinkPredictionModel& model,
+                                const Dataset& dataset);
+
 /// Instantiates an untrained model directly from sizes (used by LoadModel
 /// and by callers that do not hold a Dataset).
 std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(

@@ -18,16 +18,7 @@ Result<std::unique_ptr<ModelPool>> ModelPool::LoadFromFile(
   for (size_t i = 0; i < pool_size; ++i) {
     Result<std::unique_ptr<LinkPredictionModel>> model = LoadModel(model_path);
     if (!model.ok()) return model.status();
-    if ((*model)->num_entities() != dataset.num_entities() ||
-        (*model)->num_relations() != dataset.num_relations()) {
-      return Status::InvalidArgument(
-          "model/dataset mismatch: model has " +
-          std::to_string((*model)->num_entities()) + " entities / " +
-          std::to_string((*model)->num_relations()) + " relations, dataset '" +
-          std::string(dataset.name()) + "' has " +
-          std::to_string(dataset.num_entities()) + " / " +
-          std::to_string(dataset.num_relations()));
-    }
+    KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, dataset));
     auto instance = std::make_unique<Instance>();
     instance->model = std::move(model).value();
     instance->kelpie =

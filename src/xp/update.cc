@@ -12,6 +12,7 @@
 #include "common/record_file.h"
 #include "core/relevance_cache.h"
 #include "math/rng.h"
+#include "models/model_store.h"
 
 namespace kelpie::xp {
 
@@ -223,15 +224,7 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
                                    const Dataset& dataset,
                                    const KgDelta& delta,
                                    const UpdateOptions& options) {
-  if (model.num_entities() != dataset.num_entities() ||
-      model.num_relations() != dataset.num_relations()) {
-    return Status::InvalidArgument(
-        "model/dataset vocabulary mismatch: model has " +
-        std::to_string(model.num_entities()) + " entities / " +
-        std::to_string(model.num_relations()) + " relations, dataset has " +
-        std::to_string(dataset.num_entities()) + " / " +
-        std::to_string(dataset.num_relations()));
-  }
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(model, dataset));
 
   // Validate before touching anything: ids in range, removes present in
   // (and adds absent from) the training split, no duplicates, no triple on
@@ -287,7 +280,6 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
   if (delta.empty()) return report;
 
   const size_t dim = model.entity_dim();
-  const Dataset updated = dataset.WithModifiedTraining(delta.remove, delta.add);
   const uint64_t run_id =
       ComputeRunId(report.fingerprint_before, options.seed, delta);
 
@@ -325,7 +317,11 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
   }
 
   for (EntityId entity : report.affected) {
-    if (updated.train_graph().Degree(entity) == 0) {
+    // The entity's facts in the updated graph, in the order a rebuilt
+    // graph lists them; the seed below hashes that order.
+    const std::vector<Triple> facts =
+        dataset.ModifiedTrainingFactsOf(entity, delta.remove, delta.add);
+    if (facts.empty()) {
       // The delta removed this entity's last triple: there is nothing to
       // post-train against, so its row stays bitwise put (and is never
       // journaled — replaying a resume reaches the same conclusion).
@@ -338,11 +334,12 @@ Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
           "update cancelled; completed rows are journaled, re-run with "
           "--resume");
     }
-    const std::vector<Triple> facts = updated.train_graph().FactsOf(entity);
     Rng rng(UpdateRowSeed(options.seed, entity, facts));
     std::span<const float> current = model.EntityEmbedding(entity);
+    // Post-training reads only the dataset's entity count (see
+    // PostTrainMimic), which the delta does not change.
     std::vector<float> row =
-        model.PostTrainMimic(updated, entity, facts, rng, current);
+        model.PostTrainMimic(dataset, entity, facts, rng, current);
     if (row.size() != dim) {
       return Status::Internal("post-training returned a row of " +
                               std::to_string(row.size()) + " floats, want " +

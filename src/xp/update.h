@@ -25,7 +25,16 @@ namespace kelpie::xp {
 /// *updated* fact set via PostTrainMimic, warm-started from its current
 /// row, with every other parameter frozen — the dynamic-KG analogue of the
 /// paper's post-training step, and a bounded first-order maintenance of
-/// the embedding (cost O(affected entities), not O(graph)).
+/// the embedding.
+///
+/// Cost: O(params + affected entities' degrees + post-training), not
+/// O(graph). Each affected entity's updated fact list is read off the
+/// caller's training graph plus the delta
+/// (Dataset::ModifiedTrainingFactsOf); no updated Dataset is built, and
+/// post-training runs against the caller's dataset, whose entity count is
+/// all it reads. The O(params) part is the two ComputeModelFingerprint
+/// calls (before and after the commit), each one CRC pass over every
+/// parameter byte with no copy.
 ///
 /// Determinism and order-independence: every new row is computed against
 /// the ORIGINAL pre-update parameters (rows are staged and committed only
@@ -115,7 +124,8 @@ struct UpdateReport {
 /// delta first (removed triples must exist in the training split, added
 /// ones must not, and the two lists must be internally duplicate-free);
 /// nothing is mutated on any error path. The caller owns persistence of
-/// the updated model (SaveModel) and the dataset rewrite.
+/// the updated model (SaveModel) and the dataset rewrite
+/// (Dataset::WithModifiedTraining), which this call does not build.
 Result<UpdateReport> ApplyKgUpdate(LinkPredictionModel& model,
                                    const Dataset& dataset,
                                    const KgDelta& delta,

@@ -179,6 +179,43 @@ TEST_F(ModelStoreCorruptionTest, UncorruptedBaselineStillLoads) {
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
 }
 
+TEST(ModelDatasetCheckTest, MatchingVocabularyPasses) {
+  const Dataset dataset = testing_util::MakeToyDataset();
+  auto model = CreateModel(ModelKind::kTransE, dataset,
+                           testing_util::FastConfig(ModelKind::kTransE));
+  EXPECT_TRUE(CheckModelMatchesDataset(*model, dataset).ok());
+}
+
+TEST(ModelDatasetCheckTest, EntityCountMismatchIsInvalidArgument) {
+  const Dataset small = testing_util::MakeToyDataset(40);
+  const Dataset large = testing_util::MakeToyDataset(50);
+  auto model = CreateModel(ModelKind::kTransE, small,
+                           testing_util::FastConfig(ModelKind::kTransE));
+  const Status status = CheckModelMatchesDataset(*model, large);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("vocabulary mismatch"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("51 entities"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ModelDatasetCheckTest, RelationCountMismatchIsInvalidArgument) {
+  const Dataset dataset = testing_util::MakeToyDataset();
+  // Same entities, one relation fewer.
+  Dictionary relations;
+  relations.GetOrAdd("born_in");
+  relations.GetOrAdd("located_in");
+  const Dataset fewer("fewer-relations", dataset.entities(), relations, {},
+                      {}, {});
+  ASSERT_EQ(fewer.num_entities(), dataset.num_entities());
+  auto model = CreateModel(ModelKind::kComplEx, dataset,
+                           testing_util::FastConfig(ModelKind::kComplEx));
+  const Status status = CheckModelMatchesDataset(*model, fewer);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("3 relations"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ModelStoreCrashTest, FailedSaveLeavesPreviousModelIntact) {
   Dataset dataset = testing_util::MakeToyDataset();
   auto dir = std::filesystem::temp_directory_path() /

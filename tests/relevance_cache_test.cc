@@ -9,11 +9,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include "common/atomic_file.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/record_file.h"
 #include "core/kelpie.h"
 #include "models/model_store.h"
@@ -356,6 +360,63 @@ TEST_F(RelevanceCacheTest, FingerprintSeparatesSeedsAndParameters) {
                                            /*seed=*/13);
   EXPECT_NE(ComputeModelFingerprint(*other, 1234), fp)
       << "different learned parameters: different mimics";
+}
+
+/// The fingerprint as computed before it streamed: the parameters copied
+/// into a string, then one Crc32c over the copy. Kept as the reference the
+/// streamed computation must reproduce, so that existing cache files keep
+/// opening as hits.
+uint64_t CopyingModelFingerprint(const LinkPredictionModel& model,
+                                 uint64_t engine_seed) {
+  std::ostringstream params;
+  const Status saved = model.SaveParameters(params);
+  const std::string blob = params.str();
+  auto mix_f = [](uint64_t h, float v) {
+    return Mix64(h ^ std::bit_cast<uint32_t>(v));
+  };
+  uint64_t h = Mix64(0xf1c6e12b00c5a11eULL);
+  for (char c : std::string(model.Name())) {
+    h = Mix64(h ^ static_cast<uint8_t>(c));
+  }
+  h = Mix64(h ^ model.num_entities());
+  h = Mix64(h ^ model.num_relations());
+  h = Mix64(h ^ model.entity_dim());
+  const TrainConfig& cfg = model.config();
+  h = Mix64(h ^ cfg.dim);
+  h = Mix64(h ^ cfg.post_training_epochs);
+  h = mix_f(h, cfg.post_training_lr);
+  h = mix_f(h, cfg.learning_rate);
+  h = mix_f(h, cfg.regularization);
+  h = mix_f(h, cfg.margin);
+  h = Mix64(h ^ static_cast<uint64_t>(
+                    static_cast<uint32_t>(cfg.negatives_per_positive)));
+  h = mix_f(h, cfg.conv_lr);
+  h = mix_f(h, cfg.label_smoothing);
+  h = mix_f(h, cfg.input_dropout);
+  h = mix_f(h, cfg.feature_dropout);
+  h = mix_f(h, cfg.hidden_dropout);
+  h = Mix64(h ^ (saved.ok() ? Crc32c(blob) : 0xdeadULL));
+  h = Mix64(h ^ blob.size());
+  h = Mix64(h ^ engine_seed);
+  return h;
+}
+
+TEST(ModelFingerprintTest, StreamedFingerprintEqualsTheCopyingOne) {
+  const Dataset dataset = testing_util::MakeToyDataset();
+  for (ModelKind kind : {ModelKind::kTransE, ModelKind::kRotatE,
+                         ModelKind::kComplEx, ModelKind::kDistMult,
+                         ModelKind::kConvE}) {
+    TrainConfig config = testing_util::FastConfig(kind);
+    config.epochs = 2;
+    auto model = CreateModel(kind, dataset, config);
+    Rng rng(11);
+    ASSERT_TRUE(model->Train(dataset, rng).ok());
+    for (uint64_t seed : {uint64_t{7}, uint64_t{1234}}) {
+      EXPECT_EQ(ComputeModelFingerprint(*model, seed),
+                CopyingModelFingerprint(*model, seed))
+          << model->Name() << " seed " << seed;
+    }
+  }
 }
 
 // -------------------------------------------- golden byte identity ----

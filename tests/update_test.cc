@@ -333,6 +333,43 @@ TEST(UpdateEdgeTest, RemovingAnEntitysLastTripleIsolatesItUnchanged) {
   EXPECT_EQ(ParamsBytes(*model), before);
 }
 
+TEST(UpdatePostTrainTest, PostTrainingReadsNoDatasetFacts) {
+  // ApplyKgUpdate post-trains against the pre-update dataset with the
+  // updated fact lists. That is only sound if a mimic depends on the
+  // dataset's entity count alone: against a dataset with the same entities
+  // and different facts, every model must return the same bytes, cold and
+  // warm.
+  const Dataset dataset = testing_util::MakeToyDataset();
+  const std::vector<Triple>& train = dataset.train();
+  std::vector<Triple> removed(train.begin(), train.begin() + train.size() / 2);
+  const Dataset other = dataset.WithModifiedTraining(removed, dataset.test());
+  ASSERT_EQ(other.num_entities(), dataset.num_entities());
+  const EntityId entity = *dataset.entities().Find("City_1");
+  const std::vector<Triple> facts = dataset.train_graph().FactsOf(entity);
+  ASSERT_NE(facts, other.train_graph().FactsOf(entity));
+  for (ModelKind kind : {ModelKind::kTransE, ModelKind::kRotatE,
+                         ModelKind::kComplEx, ModelKind::kDistMult,
+                         ModelKind::kConvE}) {
+    TrainConfig config = testing_util::FastConfig(kind);
+    config.epochs = 2;
+    auto model = CreateModel(kind, dataset, config);
+    Rng train_rng(11);
+    ASSERT_TRUE(model->Train(dataset, train_rng).ok());
+    for (const bool warm : {false, true}) {
+      const std::span<const float> init =
+          warm ? model->EntityEmbedding(entity) : std::span<const float>();
+      Rng rng_a(5);
+      Rng rng_b(5);
+      const std::vector<float> a =
+          model->PostTrainMimic(dataset, entity, facts, rng_a, init);
+      const std::vector<float> b =
+          model->PostTrainMimic(other, entity, facts, rng_b, init);
+      EXPECT_TRUE(SpanBytesEqual(a, b))
+          << model->Name() << (warm ? " warm" : " cold");
+    }
+  }
+}
+
 TEST(UpdateCacheTest, PurgeEntitiesDropsExactlyTheAffectedKeys) {
   Dataset dataset = testing_util::MakeToyDataset();
   RelevanceCacheOptions options;  // in-memory

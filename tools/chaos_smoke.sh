@@ -26,7 +26,10 @@
 #      file fails cleanly with a named InvalidArgument status and a
 #      nonzero exit, leaving the model untouched; the relevance cache is
 #      reconciled (wholesale invalidation when parameters changed).
-#   6. Serve resilience: health answers "ready" (and reports the
+#   6. Vocabulary mismatch: the model paired with a larger generated
+#      dataset makes evaluate, score and explain exit 1 with a named
+#      InvalidArgument, never an abort or a read past the entity table.
+#   7. Serve resilience: health answers "ready" (and reports the
 #      warm-mimics state); a pipelined shutdown+health answers "draining";
 #      the server drains buffered work and exits 0 on SIGTERM; a shedding
 #      server (queue depth 1) is absorbed by serve-client retries (exit 0,
@@ -299,6 +302,23 @@ grep -q 'relevance cache:' "$WORK/update_cache.log" \
   || fail "update did not report cache reconciliation: $(cat "$WORK/update_cache.log")"
 cmp -s "$WORK/updated_ref.bin" "$WORK/updated_cache.bin" \
   || fail "cache reconciliation changed the updated model bytes"
+
+echo "== a model paired with another vocabulary fails cleanly"
+"$KELPIE" generate --dataset FB15k-237 --scale 0.6 --seed 7 \
+  --out "$WORK/data_big" > /dev/null
+for verb in evaluate score explain; do
+  set +e
+  "$KELPIE" "$verb" --data "$WORK/data_big" --model-file "$WORK/model.bin" \
+    --head "$HEAD" --relation "$REL" --tail "$TAIL" \
+    > /dev/null 2> "$WORK/mismatch_$verb.err"
+  RC=$?
+  set -e
+  [ "$RC" = "1" ] \
+    || fail "$verb with a mismatched vocabulary exited $RC, want 1: $(cat "$WORK/mismatch_$verb.err")"
+  grep -q 'InvalidArgument: model/dataset vocabulary mismatch' \
+    "$WORK/mismatch_$verb.err" \
+    || fail "$verb did not name the mismatch: $(cat "$WORK/mismatch_$verb.err")"
+done
 
 start_serve() {  # extra serve flags follow
   : > "$WORK/serve.log"

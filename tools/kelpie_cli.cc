@@ -426,6 +426,7 @@ Status CmdEvaluate(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   EvalOptions options;
   options.include_heads = !args.Has("no-heads");
   uint64_t threads = 0;
@@ -459,6 +460,7 @@ Status CmdExplain(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   Result<Triple> prediction = ParsePredictionFlags(args, *dataset);
   if (!prediction.ok()) return prediction.status();
 
@@ -542,6 +544,7 @@ Status CmdScore(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   Result<Triple> prediction = ParsePredictionFlags(args, *dataset);
   if (!prediction.ok()) return prediction.status();
   const float score = (*model)->Score(*prediction);
@@ -586,6 +589,7 @@ Status CmdServe(const Args& args) {
     Result<std::unique_ptr<LinkPredictionModel>> model =
         LoadModel(args.Get("model-file"));
     if (!model.ok()) return model.status();
+    KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
     KELPIE_ASSIGN_OR_RETURN(
         options.kelpie.engine.relevance_cache,
         OpenCacheFlag(args, **model, options.kelpie.engine.seed,
@@ -741,6 +745,7 @@ Status CmdUpdate(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   Result<ModelKind> kind = ParseModelKind((*model)->Name());
   if (!kind.ok()) return kind.status();
   if (!args.Has("delta")) {
@@ -833,6 +838,7 @@ Status CmdAudit(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   Result<int32_t> relation =
       dataset->relations().Find(args.Get("relation"));
   if (!relation.ok()) return relation.status();
@@ -884,6 +890,7 @@ Status CmdXp(const Args& args) {
   Result<std::unique_ptr<LinkPredictionModel>> model =
       LoadModel(args.Get("model-file"));
   if (!model.ok()) return model.status();
+  KELPIE_RETURN_IF_ERROR(CheckModelMatchesDataset(**model, *dataset));
   Result<ModelKind> kind = ParseModelKind((*model)->Name());
   if (!kind.ok()) return kind.status();
   const std::string scenario = args.Get("scenario", "necessary");
