@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       if (predictions.empty()) continue;
       KelpieOptions seq_options = MakeKelpieOptions(options);
       KelpieOptions par_options = seq_options;
-      par_options.num_threads = threads;
+      par_options.engine.num_threads = threads;
       KelpieExplainer seq(*model, dataset, seq_options);
       KelpieExplainer par(*model, dataset, par_options);
       RunningStats nec1, necN, suf1, sufN, nec_pt;

@@ -68,53 +68,19 @@ void ThreadPool::WorkerLoop() {
 
 namespace {
 
-/// Shared state of one ParallelFor batch. Tasks keep the batch alive via
+/// Shared state of one pooled fan-out. Tasks keep the batch alive via
 /// shared_ptr: helper strands that the pool only schedules after the batch
-/// has already drained see `next >= count` and return without touching fn.
-struct ParallelBatch {
-  ParallelBatch(size_t n, std::function<void(size_t)> f)
-      : count(n), fn(std::move(f)) {}
-
-  const size_t count;
-  const std::function<void(size_t)> fn;
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::exception_ptr error;  // first exception; guarded by mu
-
-  /// Claims indices until the batch is exhausted.
-  void Run() {
-    while (true) {
-      const size_t i = next.fetch_add(1);
-      if (i >= count) break;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-      if (done.fetch_add(1) + 1 == count) {
-        // Completion may race with the caller's predicate check; notify
-        // under the mutex so the wakeup cannot be lost.
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    }
-  }
-};
-
-/// Shared state of one CancellableParallelFor batch. Claims and the stop
-/// latch share one atomic word so they serialize: once the stop bit is set,
-/// no CAS claim can succeed, which makes the claim count at latch time the
-/// final, stable drain target. Claims are handed out in index order, so the
-/// set of indices that ever run is always the contiguous prefix
-/// [0, target).
-struct CancellableBatch {
+/// has drained see a stopped or exhausted claim word and return without
+/// touching the closures. Claims and the stop latch share one atomic word
+/// so they serialize: once the stop bit is set, no CAS claim can succeed,
+/// which makes the claim count at latch time the final, stable drain
+/// target. Claims are handed out in index order, so the set of indices
+/// that ever run is always the contiguous prefix [0, target).
+struct Batch {
   static constexpr uint64_t kStopBit = uint64_t{1} << 63;
 
-  CancellableBatch(size_t n, std::function<void(size_t)> f,
-                   std::function<Status()> check)
+  Batch(size_t n, std::function<void(size_t)> f,
+        std::function<Status()> check)
       : count(n), fn(std::move(f)), interrupt(std::move(check)) {
     target.store(count);
   }
@@ -195,37 +161,37 @@ struct CancellableBatch {
 
 }  // namespace
 
-void ParallelFor(ThreadPool& pool, size_t count,
+void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  auto batch = std::make_shared<ParallelBatch>(count, fn);
-  // The caller claims indices too, so only count - 1 helpers can ever be
-  // useful. Caller participation is what makes nesting safe: a batch
-  // started from inside a pool task completes even if no worker is free.
-  const size_t helpers = std::min(pool.num_threads(), count - 1);
-  for (size_t s = 0; s < helpers; ++s) {
-    pool.Submit([batch] { batch->Run(); });
-  }
-  batch->Run();
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->cv.wait(lock, [&] { return batch->done.load() == batch->count; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  CancellableParallelFor(pool, count, fn, nullptr);
 }
 
 ParallelOutcome CancellableParallelFor(
-    ThreadPool& pool, size_t count, const std::function<void(size_t)>& fn,
+    ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn,
     const std::function<Status()>& interrupt) {
-  if (count == 0) return ParallelOutcome{Status::Ok(), 0};
+  if (pool == nullptr || count <= 1) {
+    for (size_t i = 0; i < count; ++i) {
+      if (interrupt) {
+        Status status = interrupt();
+        if (!status.ok()) return ParallelOutcome{std::move(status), i};
+      }
+      fn(i);
+    }
+    return ParallelOutcome{Status::Ok(), count};
+  }
   // Check once up front on the calling thread so an already-expired control
   // starts zero chunks instead of one per strand.
   if (interrupt) {
     Status entry = interrupt();
     if (!entry.ok()) return ParallelOutcome{std::move(entry), 0};
   }
-  auto batch = std::make_shared<CancellableBatch>(count, fn, interrupt);
-  const size_t helpers = std::min(pool.num_threads(), count - 1);
+  auto batch = std::make_shared<Batch>(count, fn, interrupt);
+  // The caller claims indices too, so only count - 1 helpers can ever be
+  // useful. Caller participation is what makes nesting safe: a batch
+  // started from inside a pool task completes even if no worker is free.
+  const size_t helpers = std::min(pool->num_threads(), count - 1);
   for (size_t s = 0; s < helpers; ++s) {
-    pool.Submit([batch] { batch->Run(); });
+    pool->Submit([batch] { batch->Run(); });
   }
   batch->Run();
   std::unique_lock<std::mutex> lock(batch->mu);

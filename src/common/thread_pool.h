@@ -50,25 +50,34 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Runs fn(i) for i in [0, count) across the pool and waits for completion.
-/// fn must be safe to call concurrently for distinct indices; iteration
-/// order is unspecified but every index runs exactly once.
+/// Runs fn(i) for every i in [0, count) and waits for completion. This
+/// fan-out and the three below are the only place that chooses between
+/// running on the caller and running on a pool.
 ///
-/// The calling thread participates in the work, so the call is re-entrant:
-/// a ParallelFor issued from inside a pool task makes progress even when
-/// every worker is busy (nested batches drain through their callers).
+/// Inline: a null `pool` or a `count` <= 1 runs the plain loop
+/// `for (i = 0; i < count; ++i) fn(i)` on the calling thread. An interrupt
+/// is checked before each index, and no index starts after a non-OK check.
+/// An exception from fn propagates at once, so no later index runs. No
+/// batch is allocated and no lock is taken.
 ///
-/// If one or more invocations of fn throw, the remaining indices still run
-/// and the *first* captured exception is rethrown on the calling thread
-/// after the batch completes.
-void ParallelFor(ThreadPool& pool, size_t count,
+/// Pooled: otherwise the indices are claimed in index order by the calling
+/// thread and up to count - 1 pool strands. The caller participates, so the
+/// call is re-entrant: a fan-out issued from inside a pool task makes
+/// progress even when every worker is busy (nested batches drain through
+/// their callers). The first exception from fn stops new indices from
+/// starting; indices already started finish, and that exception is
+/// rethrown on the calling thread after the drain. fn and interrupt are
+/// never invoked after the call returns.
+///
+/// Either way fn must be safe to call concurrently for distinct indices.
+void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& fn);
 
-/// ParallelFor variant collecting per-index results: returns a vector v of
-/// size `count` with v[i] = fn(i), always in index order regardless of the
+/// ParallelFor collecting per-index results: returns a vector v of size
+/// `count` with v[i] = fn(i), always in index order regardless of the
 /// execution schedule. The result type must be default-constructible.
 template <typename Fn>
-auto ParallelMap(ThreadPool& pool, size_t count, Fn&& fn)
+auto ParallelMap(ThreadPool* pool, size_t count, Fn&& fn)
     -> std::vector<decltype(fn(size_t{0}))> {
   std::vector<decltype(fn(size_t{0}))> out(count);
   ParallelFor(pool, count, [&](size_t i) { out[i] = fn(i); });
@@ -84,26 +93,21 @@ struct ParallelOutcome {
   size_t completed = 0;
 };
 
-/// ParallelFor with cooperative interruption. `interrupt` is polled at chunk
-/// boundaries (never concurrently with itself from a drained batch); the
-/// first non-OK status it returns stops new indices from starting. Chunks
-/// already claimed — at most one per strand — still run to completion, so
-/// the batch drains cleanly and `fn`/`interrupt` are never invoked after the
-/// call returns. Exceptions from fn behave like ParallelFor's, except that
-/// an exception also stops new indices (the first one is rethrown after the
-/// drain).
-///
-/// Like ParallelFor, the calling thread participates, so nested calls from
-/// inside pool tasks make progress even when every worker is busy.
+/// ParallelFor with cooperative interruption; a null `interrupt` never
+/// interrupts. Inline, `interrupt` is checked before each index. Pooled, it
+/// is checked once on the caller before any index starts and then once per
+/// claimed index, never concurrently with itself from a drained batch; the
+/// first non-OK status stops new indices from starting, while indices
+/// already claimed (at most one per strand) still run.
 ParallelOutcome CancellableParallelFor(
-    ThreadPool& pool, size_t count, const std::function<void(size_t)>& fn,
+    ThreadPool* pool, size_t count, const std::function<void(size_t)>& fn,
     const std::function<Status()>& interrupt);
 
 /// CancellableParallelFor collecting per-index results. Returns only the
 /// completed prefix: the vector has size outcome->completed, with v[i] =
 /// fn(i) in index order.
 template <typename Fn>
-auto CancellableParallelMap(ThreadPool& pool, size_t count, Fn&& fn,
+auto CancellableParallelMap(ThreadPool* pool, size_t count, Fn&& fn,
                             const std::function<Status()>& interrupt,
                             ParallelOutcome* outcome)
     -> std::vector<decltype(fn(size_t{0}))> {

@@ -87,98 +87,49 @@ void CommitSearchMetrics(ExplanationKind kind, uint64_t unit,
       .Observe(result.seconds);
 }
 
-/// A candidate combination with its preliminary relevance.
-struct ScoredCombo {
-  double preliminary;
-  std::vector<size_t> indices;
-};
+}  // namespace
 
-/// Enumerates all k-combinations of {0..n-1} *lazily* and returns the
-/// `limit` best by preliminary relevance (mean of `individual` over the
-/// members), in descending order with deterministic lexicographic
-/// tie-breaking. Avoids materializing the full combination space, which is
-/// binomial in n — the exact blowup the Pre-Filter exists to prevent, and
-/// which this builder must survive when the Pre-Filter is ablated
-/// (Figure 6).
 std::vector<ScoredCombo> TopCombinationsByPreliminary(
     size_t n, size_t k, const std::vector<double>& individual,
     size_t limit) {
-  std::vector<ScoredCombo> heap;  // min-heap on (preliminary, -lex order)
-  auto worse = [](const ScoredCombo& a, const ScoredCombo& b) {
+  if (k == 0 || k > n || limit == 0) return {};
+  // Strict weak order: higher preliminary first, then lexicographic. As a
+  // heap comparator it keeps the worst kept combination on top.
+  auto better = [](const ScoredCombo& a, const ScoredCombo& b) {
     if (a.preliminary != b.preliminary) {
-      return a.preliminary > b.preliminary;  // min-heap: smallest on top
+      return a.preliminary > b.preliminary;
     }
-    return a.indices < b.indices;  // among ties, lexicographically later
-                                   // combos are evicted first
+    return a.indices < b.indices;
   };
+  std::vector<ScoredCombo> heap;
   std::vector<size_t> current(k);
   std::iota(current.begin(), current.end(), 0);
-  if (k == 0 || k > n || limit == 0) return {};
-  double sum = 0.0;
-  for (size_t idx : current) sum += individual[idx];
   while (true) {
-    double preliminary = sum / static_cast<double>(k);
+    // Summed afresh in index order. A running sum would drift, which breaks
+    // ties between equal means, and would turn a -inf member into NaN for
+    // every later combination.
+    double sum = 0.0;
+    for (size_t idx : current) sum += individual[idx];
+    const double preliminary = sum / static_cast<double>(k);
     if (heap.size() < limit) {
       heap.push_back({preliminary, current});
-      std::push_heap(heap.begin(), heap.end(), worse);
+      std::push_heap(heap.begin(), heap.end(), better);
     } else if (preliminary > heap.front().preliminary) {
-      std::pop_heap(heap.begin(), heap.end(), worse);
+      // Enumeration is lexicographic, so a tie with the worst kept
+      // combination loses the tie-break and is not kept.
+      std::pop_heap(heap.begin(), heap.end(), better);
       heap.back() = {preliminary, current};
-      std::push_heap(heap.begin(), heap.end(), worse);
+      std::push_heap(heap.begin(), heap.end(), better);
     }
-    // Advance to the next lexicographic combination, maintaining `sum`.
-    size_t i = k;
-    bool advanced = false;
-    while (i > 0) {
-      --i;
-      if (current[i] != i + n - k) {
-        sum -= individual[current[i]];
-        ++current[i];
-        sum += individual[current[i]];
-        for (size_t j = i + 1; j < k; ++j) {
-          sum -= individual[current[j]];
-          current[j] = current[j - 1] + 1;
-          sum += individual[current[j]];
-        }
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) break;
-  }
-  std::sort(heap.begin(), heap.end(),
-            [](const ScoredCombo& a, const ScoredCombo& b) {
-              if (a.preliminary != b.preliminary) {
-                return a.preliminary > b.preliminary;
-              }
-              return a.indices < b.indices;
-            });
-  return heap;
-}
-
-}  // namespace
-
-std::vector<std::vector<size_t>> IndexCombinations(size_t n, size_t k) {
-  std::vector<std::vector<size_t>> out;
-  if (k == 0 || k > n) return out;
-  std::vector<size_t> current(k);
-  std::iota(current.begin(), current.end(), 0);
-  while (true) {
-    out.push_back(current);
     // Advance to the next lexicographic combination.
     size_t i = k;
-    while (i > 0) {
-      --i;
-      if (current[i] != i + n - k) {
-        ++current[i];
-        for (size_t j = i + 1; j < k; ++j) {
-          current[j] = current[j - 1] + 1;
-        }
-        break;
-      }
-      if (i == 0) return out;
-    }
+    while (i > 0 && current[i - 1] == i - 1 + n - k) --i;
+    if (i == 0) break;
+    ++current[i - 1];
+    for (size_t j = i; j < k; ++j) current[j] = current[j - 1] + 1;
   }
+  std::sort(heap.begin(), heap.end(), better);
+  return heap;
 }
 
 Explanation ExplanationBuilder::BuildNecessary(
@@ -284,22 +235,10 @@ Explanation ExplanationBuilder::Search(ExplanationKind kind,
   // candidate. An extraction that evaluates no candidate post-trains none.
   if (planned > 0 && control.CheckInterrupt().ok()) baselines();
 
-  std::vector<double> individual;
-  Status interrupt_status;
-  if (pool != nullptr && planned > 1) {
-    ParallelOutcome outcome;
-    individual = CancellableParallelMap(
-        *pool, planned, [&](size_t i) { return relevance({facts[i]}); },
-        interrupt, &outcome);
-    interrupt_status = outcome.status;
-  } else {
-    individual.reserve(planned);
-    for (size_t i = 0; i < planned; ++i) {
-      interrupt_status = control.CheckInterrupt();
-      if (!interrupt_status.ok()) break;
-      individual.push_back(relevance({facts[i]}));
-    }
-  }
+  ParallelOutcome outcome;
+  std::vector<double> individual = CancellableParallelMap(
+      pool, planned, [&](size_t i) { return relevance({facts[i]}); },
+      interrupt, &outcome);
   result.skipped_candidates += planned - individual.size();
   stage_tallies[1].skipped += planned - individual.size();
 
@@ -341,8 +280,8 @@ Explanation ExplanationBuilder::Search(ExplanationKind kind,
   if (options_.k1_only) {
     return finish(std::move(best_facts), best_relevance, false, visited);
   }
-  if (!interrupt_status.ok()) {
-    result.completeness = CompletenessFromStatus(interrupt_status);
+  if (!outcome.status.ok()) {
+    result.completeness = CompletenessFromStatus(outcome.status);
     return finish(std::move(best_facts), best_relevance, false, visited);
   }
   if (individual.size() < facts.size()) {
@@ -410,21 +349,9 @@ Explanation ExplanationBuilder::Search(ExplanationKind kind,
           candidates[k].push_back(facts[idx]);
         }
       }
-      std::vector<double> relevances;
-      if (pool != nullptr && take > 1) {
-        ParallelOutcome outcome;
-        relevances = CancellableParallelMap(
-            *pool, take, [&](size_t k) { return relevance(candidates[k]); },
-            interrupt, &outcome);
-        interrupt_status = outcome.status;
-      } else {
-        relevances.reserve(take);
-        for (size_t k = 0; k < take; ++k) {
-          interrupt_status = control.CheckInterrupt();
-          if (!interrupt_status.ok()) break;
-          relevances.push_back(relevance(candidates[k]));
-        }
-      }
+      const std::vector<double> relevances = CancellableParallelMap(
+          pool, take, [&](size_t k) { return relevance(candidates[k]); },
+          interrupt, &outcome);
 
       // Sequential replay of the stopping policy over the evaluated chunk.
       for (size_t k = 0; k < relevances.size(); ++k) {
@@ -479,8 +406,8 @@ Explanation ExplanationBuilder::Search(ExplanationKind kind,
           }
         }
       }
-      if (!interrupt_status.ok()) {
-        result.completeness = CompletenessFromStatus(interrupt_status);
+      if (!outcome.status.ok()) {
+        result.completeness = CompletenessFromStatus(outcome.status);
         result.skipped_candidates +=
             combos.size() - (begin + relevances.size());
         stage_tallies[size].skipped +=

@@ -115,10 +115,21 @@ class ExplanationBuilder {
   ExplanationBuilderOptions options_;
 };
 
-/// Enumerates all size-`k` index combinations of {0, ..., n-1} in
-/// lexicographic order. Exposed for tests and for the SHAP-comparison
-/// bench.
-std::vector<std::vector<size_t>> IndexCombinations(size_t n, size_t k);
+/// A candidate combination with its preliminary relevance.
+struct ScoredCombo {
+  double preliminary;
+  std::vector<size_t> indices;
+};
+
+/// Enumerates all k-combinations of {0..n-1} *lazily* and returns the
+/// `limit` best by preliminary relevance (mean of `individual` over the
+/// members), in descending order with lexicographic tie-breaking. Avoids
+/// materializing the full combination space, which is binomial in n — the
+/// exact blowup the Pre-Filter exists to prevent, and which the builder
+/// must survive when the Pre-Filter is ablated (Figure 6). Empty when
+/// k == 0, k > n or limit == 0.
+std::vector<ScoredCombo> TopCombinationsByPreliminary(
+    size_t n, size_t k, const std::vector<double>& individual, size_t limit);
 
 }  // namespace kelpie
 

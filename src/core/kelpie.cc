@@ -6,15 +6,6 @@ namespace kelpie {
 
 namespace {
 
-/// Applies the facade-level num_threads override to the engine options.
-RelevanceEngineOptions EffectiveEngineOptions(const KelpieOptions& options) {
-  RelevanceEngineOptions engine = options.engine;
-  if (options.num_threads > 0) {
-    engine.num_threads = options.num_threads;
-  }
-  return engine;
-}
-
 /// Materializes the control bundle of one extraction call. The WorkBudget
 /// lives on the caller's stack (`budget_storage`): each extraction gets a
 /// fresh meter, so `limits.work_budget` bounds every call independently.
@@ -41,7 +32,7 @@ Kelpie::Kelpie(const LinkPredictionModel& model, const Dataset& dataset,
                KelpieOptions options)
     : options_(options),
       prefilter_(dataset, options.prefilter),
-      engine_(model, dataset, EffectiveEngineOptions(options)),
+      engine_(model, dataset, options.engine),
       builder_(engine_, prefilter_, options.builder) {}
 
 Explanation Kelpie::ExplainNecessary(const Triple& prediction,

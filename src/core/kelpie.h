@@ -34,12 +34,6 @@ struct KelpieOptions {
   PreFilterOptions prefilter;
   RelevanceEngineOptions engine;
   ExplanationBuilderOptions builder;
-  /// Convenience override: worker threads for parallel explanation
-  /// extraction. When > 0 it overwrites engine.num_threads; 0 defers to
-  /// engine.num_threads (default 1 = sequential). Any value produces
-  /// bitwise-identical explanations — see ExplanationBuilder's chunked
-  /// visiting semantics.
-  size_t num_threads = 0;
 };
 
 /// The Kelpie framework facade (Figure 1): wires the Pre-Filter, the

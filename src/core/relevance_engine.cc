@@ -169,16 +169,9 @@ int RelevanceEngine::HomologousRank(EntityId entity, const Triple& prediction,
 std::vector<int> RelevanceEngine::HomologousRanks(
     const Triple& prediction, PredictionTarget target,
     const std::vector<EntityId>& conversion_set) {
-  auto rank = [&](size_t i) {
+  return ParallelMap(pool_.get(), conversion_set.size(), [&](size_t i) {
     return HomologousRank(conversion_set[i], prediction, target);
-  };
-  if (pool_ != nullptr && conversion_set.size() > 1) {
-    return ParallelMap(*pool_, conversion_set.size(), rank);
-  }
-  std::vector<int> out;
-  out.reserve(conversion_set.size());
-  for (size_t i = 0; i < conversion_set.size(); ++i) out.push_back(rank(i));
-  return out;
+  });
 }
 
 double RelevanceEngine::NecessaryRelevance(
@@ -253,15 +246,8 @@ double RelevanceEngine::SufficientRelevance(
     return achieved / ideal;
   };
 
-  std::vector<double> parts;
-  if (pool_ != nullptr && conversion_set.size() > 1) {
-    parts = ParallelMap(*pool_, conversion_set.size(), contribution);
-  } else {
-    parts.reserve(conversion_set.size());
-    for (size_t i = 0; i < conversion_set.size(); ++i) {
-      parts.push_back(contribution(i));
-    }
-  }
+  const std::vector<double> parts =
+      ParallelMap(pool_.get(), conversion_set.size(), contribution);
   // Accumulate in conversion-set order: the sum (and thus the relevance) is
   // bitwise identical whatever the completion order was.
   double total = 0.0;

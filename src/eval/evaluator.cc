@@ -1,5 +1,7 @@
 #include "eval/evaluator.h"
 
+#include <memory>
+
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -55,30 +57,22 @@ EvalResult EvaluateImpl(const LinkPredictionModel& model,
                         const Dataset& dataset,
                         const std::vector<Triple>& facts,
                         const EvalOptions& options) {
-  EvalResult result;
   const RankingOptions ranking{options.quantized_shortlist};
-  if (options.num_threads <= 1 || facts.size() < 2) {
-    for (const Triple& fact : facts) {
-      result.tail_ranks.AddRank(
-          FilteredTailRank(model, dataset, fact, ranking));
-      if (options.include_heads) {
-        result.head_ranks.AddRank(
-            FilteredHeadRank(model, dataset, fact, ranking));
-      }
-    }
-    return result;
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_threads);
   }
-  // Parallel path: rank into per-fact slots, then accumulate in fact order
-  // so the result is identical to the sequential path.
+  // Rank into per-fact slots, then accumulate in fact order so the result
+  // is the same at every thread count.
   std::vector<int> tail_ranks(facts.size());
   std::vector<int> head_ranks(options.include_heads ? facts.size() : 0);
-  ThreadPool pool(options.num_threads);
-  ParallelFor(pool, facts.size(), [&](size_t i) {
+  ParallelFor(pool.get(), facts.size(), [&](size_t i) {
     tail_ranks[i] = FilteredTailRank(model, dataset, facts[i], ranking);
     if (options.include_heads) {
       head_ranks[i] = FilteredHeadRank(model, dataset, facts[i], ranking);
     }
   });
+  EvalResult result;
   for (size_t i = 0; i < facts.size(); ++i) {
     result.tail_ranks.AddRank(tail_ranks[i]);
     if (options.include_heads) {

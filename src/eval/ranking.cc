@@ -199,40 +199,16 @@ int RankFromScores(std::span<const float> scores, EntityId target,
 
 int FilteredTailRank(const LinkPredictionModel& model, const Dataset& dataset,
                      const Triple& fact, const RankingOptions& options) {
-  QuantMetrics qm = ResolveQuantMetrics();
-  const std::unordered_set<EntityId>* filtered =
-      &dataset.KnownTails(fact.head, fact.relation);
-  if (options.quantized_shortlist) {
-    std::optional<int> rank = QuantRank(
-        model,
-        model.TailSweepWithHeadVec(model.EntityEmbedding(fact.head),
-                                   fact.relation),
-        fact.tail, filtered, qm);
-    if (rank.has_value()) return *rank;
-    qm.fallbacks.Increment(1);
-  }
-  std::span<float> scores = ScoreScratch(model.num_entities());
-  model.ScoreAllTails(fact.head, fact.relation, scores);
-  return RankFromScores(scores, fact.tail, filtered);
+  return FilteredTailRankWithHeadVec(model, dataset, fact.head,
+                                     model.EntityEmbedding(fact.head),
+                                     fact.relation, fact.tail, options);
 }
 
 int FilteredHeadRank(const LinkPredictionModel& model, const Dataset& dataset,
                      const Triple& fact, const RankingOptions& options) {
-  QuantMetrics qm = ResolveQuantMetrics();
-  const std::unordered_set<EntityId>* filtered =
-      &dataset.KnownHeads(fact.relation, fact.tail);
-  if (options.quantized_shortlist) {
-    std::optional<int> rank = QuantRank(
-        model,
-        model.HeadSweepWithTailVec(fact.relation,
-                                   model.EntityEmbedding(fact.tail)),
-        fact.head, filtered, qm);
-    if (rank.has_value()) return *rank;
-    qm.fallbacks.Increment(1);
-  }
-  std::span<float> scores = ScoreScratch(model.num_entities());
-  model.ScoreAllHeads(fact.relation, fact.tail, scores);
-  return RankFromScores(scores, fact.head, filtered);
+  return FilteredHeadRankWithTailVec(model, dataset, fact.tail,
+                                     model.EntityEmbedding(fact.tail),
+                                     fact.relation, fact.head, options);
 }
 
 int FilteredTailRankWithHeadVec(const LinkPredictionModel& model,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -61,14 +60,6 @@ void DenseAdam::StepSpan(std::span<float> params, std::span<const float> grad) {
     float m_hat = static_cast<float>(m[i] / bias1);
     float v_hat = static_cast<float>(v[i] / bias2);
     p[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon_);
-  }
-}
-
-void SgdStep(std::span<float> params, std::span<const float> grad,
-             float learning_rate) {
-  KELPIE_DCHECK(params.size() == grad.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i] -= learning_rate * grad[i];
   }
 }
 
@@ -148,112 +139,6 @@ bool SparseRowAdagrad::RestoreState(std::string_view blob) {
     restored.emplace(static_cast<size_t>(row), std::move(acc));
   }
   accum_ = std::move(restored);
-  return true;
-}
-
-SparseAdam::RowState& SparseAdam::StateRow(size_t row) {
-  KELPIE_DCHECK(row < rows_);
-  RowState& state = state_[row];
-  if (state.m.empty()) {
-    state.m.assign(cols_, 0.0f);
-    state.v.assign(cols_, 0.0f);
-  }
-  return state;
-}
-
-int64_t SparseAdam::row_step_count(size_t row) const {
-  auto it = state_.find(row);
-  return it == state_.end() ? 0 : it->second.t;
-}
-
-void SparseAdam::Step(Matrix& params, size_t row,
-                      std::span<const float> grad) {
-  StepSpan(params.Row(row), row, grad);
-}
-
-void SparseAdam::StepSpan(std::span<float> params, size_t row,
-                          std::span<const float> grad) {
-  KELPIE_DCHECK(params.size() == grad.size());
-  // Identical arithmetic to DenseAdam::StepSpan over a one-row state
-  // matrix, with the step count advancing only when this row is touched
-  // (lazy-Adam bias correction).
-  RowState& state = StateRow(row);
-  ++state.t;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(state.t));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(state.t));
-  std::span<float> m = state.m;
-  std::span<float> v = state.v;
-  const float lr = learning_rate_ * lr_scale_;
-  for (size_t i = 0; i < params.size(); ++i) {
-    m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad[i];
-    v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad[i] * grad[i];
-    float m_hat = static_cast<float>(m[i] / bias1);
-    float v_hat = static_cast<float>(v[i] / bias2);
-    params[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon_);
-  }
-}
-
-bool SparseAdam::AllFinite() const {
-  for (const auto& [row, state] : state_) {
-    for (float x : state.m) {
-      if (!std::isfinite(x)) return false;
-    }
-    for (float x : state.v) {
-      if (!std::isfinite(x)) return false;
-    }
-  }
-  return true;
-}
-
-std::string SparseAdam::SaveState() const {
-  std::ostringstream os;
-  if (!WriteU64(os, rows_).ok() || !WriteU64(os, cols_).ok() ||
-      !WriteU64(os, state_.size()).ok()) {
-    return {};
-  }
-  for (size_t row : SortedKeys(state_)) {
-    const RowState& state = state_.at(row);
-    if (!WriteU64(os, row).ok() ||
-        !WriteU64(os, static_cast<uint64_t>(state.t)).ok() ||
-        !WriteFloats(os, state.m).ok() || !WriteFloats(os, state.v).ok()) {
-      return {};
-    }
-  }
-  return std::move(os).str();
-}
-
-bool SparseAdam::RestoreState(std::string_view blob) {
-  if (blob.empty()) {
-    state_.clear();
-    return true;
-  }
-  std::istringstream in{std::string(blob)};
-  uint64_t rows = 0, cols = 0, count = 0;
-  if (!ReadU64(in, rows).ok() || !ReadU64(in, cols).ok() ||
-      !ReadU64(in, count).ok()) {
-    return false;
-  }
-  if (rows != rows_ || cols != cols_ || count > rows_) return false;
-  std::unordered_map<size_t, RowState> restored;
-  restored.reserve(count);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t row = 0, t = 0;
-    RowState state;
-    if (!ReadU64(in, row).ok() || !ReadU64(in, t).ok() ||
-        !ReadFloats(in, state.m).ok() || !ReadFloats(in, state.v).ok()) {
-      return false;
-    }
-    if (row >= rows_ || (i > 0 && row <= prev) || state.m.size() != cols_ ||
-        state.v.size() != cols_ ||
-        t > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      return false;
-    }
-    prev = row;
-    state.t = static_cast<int64_t>(t);
-    restored.emplace(static_cast<size_t>(row), std::move(state));
-  }
-  state_ = std::move(restored);
   return true;
 }
 

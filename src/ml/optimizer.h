@@ -97,16 +97,12 @@ class DenseAdam {
   int64_t t_ = 0;
 };
 
-/// Plain SGD helper: params -= lr * grad. TransE's original optimizer.
-void SgdStep(std::span<float> params, std::span<const float> grad,
-             float learning_rate);
-
 /// -----------------------------------------------------------------------
 /// Sparse optimizer state (DESIGN.md §16).
 ///
 /// The dense optimizers above allocate state for every row of the table
 /// they condition, even though one batch (and especially one mimic
-/// post-training) touches a handful of rows. The sparse variants keep
+/// post-training) touches a handful of rows. SparseRowAdagrad keeps
 /// per-row state in an index-keyed map that materializes a row the first
 /// time it receives a gradient. A freshly materialized row starts at
 /// zeros — exactly the state its dense counterpart holds before the first
@@ -118,7 +114,7 @@ void SgdStep(std::span<float> params, std::span<const float> grad,
 ///
 /// Because the storage grows as rows are touched, sparse state cannot be
 /// exposed to the training guard as stable float spans the way AccumData()
-/// is. Instead each sparse optimizer serializes to / restores from a
+/// is. Instead the sparse optimizer serializes to / restores from a
 /// deterministic blob (rows ordered by index), which the guard snapshots,
 /// rewinds and checkpoints through the save_sparse/restore_sparse hooks
 /// (ml/train_guard.h) and the checkpoint's "sparse" section.
@@ -177,65 +173,6 @@ class SparseRowAdagrad {
   float lr_scale_ = 1.0f;
   float epsilon_ = 1e-8f;
   std::unordered_map<size_t, std::vector<float>> accum_;
-};
-
-/// Sparse per-row Adam. Each touched row carries its own first/second
-/// moments AND its own step count: bias correction advances only when the
-/// row is stepped, which is the standard "lazy Adam" semantics for
-/// embedding tables (a dense Adam over the whole table would decay the
-/// moments of untouched rows and is not what embedding training wants).
-/// The per-row step arithmetic mirrors DenseAdam::StepSpan bit for bit, so
-/// a SparseAdam row stepped k times equals a one-row DenseAdam stepped k
-/// times, byte for byte.
-class SparseAdam {
- public:
-  SparseAdam() = default;
-
-  SparseAdam(size_t rows, size_t cols, float learning_rate,
-             float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f)
-      : rows_(rows),
-        cols_(cols),
-        learning_rate_(learning_rate),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon) {}
-
-  void Step(Matrix& params, size_t row, std::span<const float> grad);
-  void StepSpan(std::span<float> params, size_t row,
-                std::span<const float> grad);
-
-  void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-  size_t touched_rows() const { return state_.size(); }
-  /// Step count of `row` (0 when never touched).
-  int64_t row_step_count(size_t row) const;
-
-  bool AllFinite() const;
-  /// See SparseRowAdagrad::SaveState/RestoreState; the blob additionally
-  /// carries each row's step count next to its moments.
-  std::string SaveState() const;
-  bool RestoreState(std::string_view blob);
-
- private:
-  struct RowState {
-    std::vector<float> m;
-    std::vector<float> v;
-    int64_t t = 0;
-  };
-
-  RowState& StateRow(size_t row);
-
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  float learning_rate_ = 0.0f;
-  float lr_scale_ = 1.0f;
-  float beta1_ = 0.9f;
-  float beta2_ = 0.999f;
-  float epsilon_ = 1e-8f;
-  std::unordered_map<size_t, RowState> state_;
 };
 
 /// Construction-time dispatch between RowAdagrad and SparseRowAdagrad —

@@ -17,7 +17,7 @@ namespace serve {
 /// A pool of N independently loaded model instances, each paired with its
 /// own Kelpie facade, dispatched round-robin with per-instance locking.
 /// Each instance serves one request batch at a time; its extraction threads
-/// (num_threads) run inside a lease.
+/// (RelevanceEngineOptions::num_threads) run inside a lease.
 ///
 /// Every instance is loaded from the same model file, so all N are
 /// bitwise-identical parameter sets and every deterministic query returns

@@ -50,8 +50,9 @@ struct ServerOptions {
   size_t max_queue_depth = 256;
   /// Most requests coalesced into one batch (one pool lease); 0 = no cap.
   size_t max_batch = 16;
-  /// Extraction options for every pooled Kelpie instance; num_threads is
-  /// the per-extraction worker count *inside* a lease.
+  /// Extraction options for every pooled Kelpie instance;
+  /// kelpie.engine.num_threads is the per-extraction worker count *inside*
+  /// a lease.
   KelpieOptions kelpie;
   /// Server-wide cooperative cancellation, overlaid on every extraction
   /// (the CLI wires SIGINT/SIGTERM here). Cancelled extractions return

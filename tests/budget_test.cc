@@ -236,14 +236,14 @@ TEST_F(BoundedExtractionTest, BudgetTruncationIsThreadCountInvariant) {
   limits.work_budget = 2;
 
   KelpieOptions sequential;
-  sequential.num_threads = 1;
+  sequential.engine.num_threads = 1;
   Kelpie kelpie1(*model_, *dataset_, sequential);
   Explanation x1 = kelpie1.ExplainNecessary(prediction,
                                             PredictionTarget::kTail, nullptr,
                                             limits);
 
   KelpieOptions parallel;
-  parallel.num_threads = 4;
+  parallel.engine.num_threads = 4;
   Kelpie kelpie4(*model_, *dataset_, parallel);
   Explanation x4 = kelpie4.ExplainNecessary(prediction,
                                             PredictionTarget::kTail, nullptr,
@@ -261,7 +261,7 @@ TEST_F(BoundedExtractionTest, BudgetTruncationIsThreadCountInvariant) {
 TEST_F(BoundedExtractionTest, GenerousLimitsMatchUnboundedRunBitForBit) {
   const Triple prediction = CityPrediction(1);
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
 
   // One instance for both runs: no extraction depends on an earlier one,
   // post_trainings included.
@@ -286,7 +286,7 @@ TEST_F(BoundedExtractionTest, GenerousLimitsMatchUnboundedRunBitForBit) {
 TEST_F(BoundedExtractionTest, CancelMidExtractionKeepsBestSoFar) {
   const Triple prediction = CityPrediction(0);
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   // An unreachable threshold keeps the search alive past S_1, giving the
   // cancellation a boundary to land on.
   options.builder.necessary_threshold = 1e9;
@@ -309,7 +309,7 @@ TEST_F(BoundedExtractionTest, CancelMidExtractionKeepsBestSoFar) {
 TEST_F(BoundedExtractionTest, ExpiredDeadlineTruncatesImmediately) {
   const Triple prediction = CityPrediction(0);
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
 
   ExtractionLimits limits;
@@ -328,7 +328,7 @@ TEST_F(BoundedExtractionTest, ExpiredDeadlineTruncatesImmediately) {
 TEST_F(BoundedExtractionTest, SufficientCandidatesCostConversionSetUnits) {
   const Triple prediction = CityPrediction(2);
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
   Rng rng(17);
   std::vector<EntityId> conversion_set = SampleConversionEntities(
@@ -355,7 +355,7 @@ TEST_F(BoundedExtractionTest, SufficientCandidatesCostConversionSetUnits) {
 TEST_F(BoundedExtractionTest, DivergentPostTrainingsAreCountedAndSkipped) {
   const Triple prediction = CityPrediction(0);
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
 
   failpoint::Arm("engine.post_train.diverge", failpoint::kAnyValue,
@@ -398,7 +398,7 @@ uint64_t OutcomeTotal(metrics::Registry& reg, const char* kind,
 TEST_F(BoundedExtractionTest, BuilderCountersMatchExplanationLedger) {
   metrics::ScopedRegistry scoped;
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
   Explanation x =
       kelpie.ExplainNecessary(CityPrediction(1), PredictionTarget::kTail);
@@ -424,7 +424,7 @@ TEST_F(BoundedExtractionTest, BuilderCountersMatchExplanationLedger) {
 TEST_F(BoundedExtractionTest, BudgetTruncationCountersAreExact) {
   metrics::ScopedRegistry scoped;
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
   ExtractionLimits limits;
   limits.work_budget = 2;
@@ -456,7 +456,7 @@ TEST_F(BoundedExtractionTest, BudgetTruncationCountersAreExact) {
 TEST_F(BoundedExtractionTest, DivergentCandidatesCountedInRegistry) {
   metrics::ScopedRegistry scoped;
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
 
   failpoint::Arm("engine.post_train.diverge", failpoint::kAnyValue,
@@ -510,7 +510,7 @@ class RetryTruncatedTest : public BoundedExtractionTest {
 // to the byte-identical journal of an uninterrupted unlimited run.
 TEST_F(RetryTruncatedTest, UpgradeConvergesToUninterruptedRun) {
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
 
   // Truncated first pass: 2 work units per prediction.
   KelpieExplainer small(*model_, *dataset_, options);
@@ -569,7 +569,7 @@ TEST_F(RetryTruncatedTest, UpgradeConvergesToUninterruptedRun) {
 // Without --retry-truncated a resumed run replays truncated records as-is.
 TEST_F(RetryTruncatedTest, PlainResumeReplaysTruncatedRecords) {
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   KelpieExplainer small(*model_, *dataset_, options);
   ExtractionLimits tight;
   tight.work_budget = 2;
@@ -599,7 +599,7 @@ TEST_F(RetryTruncatedTest, PlainResumeReplaysTruncatedRecords) {
 
 TEST_F(RetryTruncatedTest, CancelledRunControlStopsBeforeExtracting) {
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   KelpieExplainer explainer(*model_, *dataset_, options);
   RunControl control;
   control.journal_path = Journal("run.jnl");
@@ -619,7 +619,7 @@ TEST_F(RetryTruncatedTest, CancelledRunControlStopsBeforeExtracting) {
 
 TEST_F(RetryTruncatedTest, ExpiredRunDeadlineStopsWithDeadlineExceeded) {
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   KelpieExplainer explainer(*model_, *dataset_, options);
   RunControl control;
   control.journal_path = Journal("run.jnl");

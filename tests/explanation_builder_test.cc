@@ -2,36 +2,77 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 #include "eval/ranking.h"
+#include "math/rng.h"
 #include "tests/test_util.h"
 
 namespace kelpie {
 namespace {
 
-TEST(IndexCombinationsTest, EnumeratesAllPairs) {
-  std::vector<std::vector<size_t>> combos = IndexCombinations(4, 2);
-  ASSERT_EQ(combos.size(), 6u);
-  EXPECT_EQ(combos[0], (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(combos[5], (std::vector<size_t>{2, 3}));
+/// Brute-force reference for TopCombinationsByPreliminary: every
+/// k-combination of {0..n-1}, its mean summed in index order, sorted by mean
+/// descending and then lexicographically, truncated to `limit`.
+std::vector<ScoredCombo> ReferenceTopCombinations(
+    size_t n, size_t k, const std::vector<double>& individual,
+    size_t limit) {
+  std::vector<ScoredCombo> all;
+  if (k == 0) return all;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    if (static_cast<size_t>(__builtin_popcount(mask)) != k) continue;
+    ScoredCombo combo{0.0, {}};
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) {
+        combo.indices.push_back(i);
+        sum += individual[i];
+      }
+    }
+    combo.preliminary = sum / static_cast<double>(k);
+    all.push_back(std::move(combo));
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ScoredCombo& a, const ScoredCombo& b) {
+              if (a.preliminary != b.preliminary) {
+                return a.preliminary > b.preliminary;
+              }
+              return a.indices < b.indices;
+            });
+  if (all.size() > limit) all.resize(limit);
+  return all;
 }
 
-TEST(IndexCombinationsTest, CountsMatchBinomials) {
-  EXPECT_EQ(IndexCombinations(5, 1).size(), 5u);
-  EXPECT_EQ(IndexCombinations(5, 3).size(), 10u);
-  EXPECT_EQ(IndexCombinations(5, 5).size(), 1u);
-  EXPECT_EQ(IndexCombinations(20, 2).size(), 190u);
-}
-
-TEST(IndexCombinationsTest, EdgeCases) {
-  EXPECT_TRUE(IndexCombinations(3, 0).empty());
-  EXPECT_TRUE(IndexCombinations(3, 4).empty());
-  EXPECT_EQ(IndexCombinations(1, 1).size(), 1u);
-}
-
-TEST(IndexCombinationsTest, AllIndicesStrictlyIncreasing) {
-  for (const auto& combo : IndexCombinations(7, 3)) {
-    for (size_t i = 1; i < combo.size(); ++i) {
-      EXPECT_LT(combo[i - 1], combo[i]);
+TEST(TopCombinationsTest, MatchesBruteForceReference) {
+  // Few distinct values, so many combinations tie on their mean. The
+  // non-dyadic values make a running sum round differently from a fresh
+  // one, and -inf is the score of a divergent single-fact candidate.
+  const double pool[] = {0.1, 1.0 / 3.0, 0.7, 0.0, 2.0, -1.5,
+                         -std::numeric_limits<double>::infinity()};
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    for (size_t n = 0; n <= 8; ++n) {
+      std::vector<double> individual(n);
+      for (double& v : individual) v = pool[rng.UniformUint64(7)];
+      for (size_t k = 0; k <= n + 1; ++k) {
+        const size_t all = std::numeric_limits<size_t>::max();
+        for (size_t limit : {size_t{0}, size_t{1}, size_t{3}, all}) {
+          const std::vector<ScoredCombo> got =
+              TopCombinationsByPreliminary(n, k, individual, limit);
+          const std::vector<ScoredCombo> want =
+              ReferenceTopCombinations(n, k, individual, limit);
+          ASSERT_EQ(got.size(), want.size())
+              << "n=" << n << " k=" << k << " limit=" << limit;
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].indices, want[i].indices)
+                << "n=" << n << " k=" << k << " limit=" << limit
+                << " rank=" << i;
+            ASSERT_EQ(got[i].preliminary, want[i].preliminary);
+          }
+        }
+      }
     }
   }
 }

@@ -122,7 +122,7 @@ TEST_P(KelpieTest, RepeatedQueryReturnsIdenticalExplanation) {
   for (size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     KelpieOptions options = FastOptions();
-    options.num_threads = threads;
+    options.engine.num_threads = threads;
     Kelpie kelpie(*model_, *dataset_, options);
     const Explanation necessary = kelpie.ExplainNecessary(prediction_);
     EXPECT_GT(necessary.post_trainings, 0u);

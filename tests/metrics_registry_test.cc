@@ -216,7 +216,7 @@ TEST(ConcurrencyTest, RelaxedIncrementsAndObservationsAreExact) {
   Histogram& h = reg.GetHistogram("kelpie_concurrent_seconds", {2.0});
   constexpr size_t kIters = 4000;
   ThreadPool pool(4);
-  ParallelFor(pool, kIters, [&](size_t) {
+  ParallelFor(&pool, kIters, [&](size_t) {
     c.Increment();
     h.Observe(1.0);
   });
@@ -244,7 +244,7 @@ std::string MaskedSnapshotAtThreads(size_t threads) {
   auto model = testing_util::TrainToyModel(ModelKind::kComplEx, dataset);
 
   KelpieOptions options;
-  options.num_threads = threads;
+  options.engine.num_threads = threads;
   options.builder.max_visits_per_size = 10;
   KelpieExplainer explainer(*model, dataset, options);
 

@@ -85,13 +85,5 @@ TEST(DenseAdamTest, ConvergesOnQuadratic) {
   EXPECT_NEAR(params.At(0, 0), -2.0f, 0.05);
 }
 
-TEST(SgdStepTest, AppliesScaledGradient) {
-  std::vector<float> params{1.0f, 2.0f};
-  std::vector<float> grad{0.5f, -0.5f};
-  SgdStep(params, grad, 0.1f);
-  EXPECT_FLOAT_EQ(params[0], 0.95f);
-  EXPECT_FLOAT_EQ(params[1], 2.05f);
-}
-
 }  // namespace
 }  // namespace kelpie

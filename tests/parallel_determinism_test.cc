@@ -37,7 +37,7 @@ class ParallelDeterminismTest : public ::testing::Test {
   /// exercised — the hardest case for equivalence.
   KelpieOptions DeepSearchOptions(size_t num_threads) const {
     KelpieOptions options;
-    options.num_threads = num_threads;
+    options.engine.num_threads = num_threads;
     options.engine.conversion_set_size = 4;
     options.builder.necessary_threshold = 1e9;
     options.builder.sufficient_threshold = 1e9;
@@ -108,7 +108,7 @@ TEST_F(ParallelDeterminismTest, AcceptingSearchIdenticalToo) {
   KelpieOptions seq;
   seq.engine.conversion_set_size = 4;
   KelpieOptions par = seq;
-  par.num_threads = 4;
+  par.engine.num_threads = 4;
   Kelpie sequential(*model_, *dataset_, seq);
   Kelpie parallel(*model_, *dataset_, par);
   ExpectIdentical(sequential.ExplainNecessary(prediction_),

@@ -432,7 +432,7 @@ class RelevanceCacheGoldenTest : public RelevanceCacheTest {
                                 size_t threads, bool sufficient) {
     KelpieOptions options;
     options.engine.conversion_set_size = 4;
-    options.num_threads = threads;
+    options.engine.num_threads = threads;
     options.engine.relevance_cache = std::move(cache);
     Kelpie kelpie(*model_, *dataset_, options);
     const Triple prediction = Prediction();

@@ -234,7 +234,7 @@ TEST_F(RelevanceEngineTest, NecessaryExtractionPostTrainsOneBaseline) {
   // Constructed after the swap: the engine resolves its handles from the
   // scoped registry.
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   Kelpie kelpie(*model_, *dataset_, options);
   metrics::Registry& reg = metrics::Registry::Global();
   auto count = [&reg](const char* kind) {
@@ -267,7 +267,7 @@ TEST_F(RelevanceEngineTest, SufficientExtractionPostTrainsOneBaselinePerEntity) 
   ASSERT_TRUE(found_);
   metrics::ScopedRegistry scoped;
   KelpieOptions options;
-  options.num_threads = 1;
+  options.engine.num_threads = 1;
   options.engine.conversion_set_size = 4;
   Kelpie kelpie(*model_, *dataset_, options);
   metrics::Registry& reg = metrics::Registry::Global();

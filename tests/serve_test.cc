@@ -66,7 +66,7 @@ class ServeTest : public ::testing::Test {
   static KelpieOptions TestKelpieOptions(size_t num_threads) {
     KelpieOptions options;
     options.engine.conversion_set_size = 4;
-    options.num_threads = num_threads;
+    options.engine.num_threads = num_threads;
     return options;
   }
 

@@ -142,70 +142,6 @@ TEST(SparseRowAdagradTest, RestoreValidatesBeforeMutating) {
   EXPECT_EQ(opt.touched_rows(), 0u);
 }
 
-TEST(SparseAdamTest, RowSteppedKTimesEqualsOneRowDenseAdam) {
-  constexpr size_t kCols = 5;
-  Rng rng(23);
-  std::vector<float> sparse_row = RandomVec(rng, kCols);
-  Matrix dense_row(1, kCols);
-  std::copy(sparse_row.begin(), sparse_row.end(), dense_row.Row(0).begin());
-
-  SparseAdam sparse(4, kCols, 0.05f);
-  DenseAdam dense(1, kCols, 0.05f);
-  for (int k = 0; k < 7; ++k) {
-    std::vector<float> g = RandomVec(rng, kCols);
-    sparse.StepSpan(sparse_row, 3, g);
-    dense.Step(dense_row, g);
-  }
-  EXPECT_TRUE(BitwiseEqual(dense_row.Row(0), sparse_row));
-  EXPECT_EQ(sparse.row_step_count(3), 7);
-  EXPECT_EQ(sparse.touched_rows(), 1u);
-}
-
-TEST(SparseAdamTest, BiasCorrectionIsPerRowLazy) {
-  // A row first touched late must get first-step (t=1) bias correction,
-  // not the global step count — i.e. it behaves exactly like a fresh
-  // one-row DenseAdam, independent of the other rows' histories.
-  constexpr size_t kCols = 4;
-  Rng rng(29);
-  SparseAdam sparse(3, kCols, 0.1f);
-  std::vector<float> busy_row = RandomVec(rng, kCols);
-  for (int k = 0; k < 5; ++k) {
-    sparse.StepSpan(busy_row, 0, RandomVec(rng, kCols));
-  }
-  ASSERT_EQ(sparse.row_step_count(0), 5);
-  EXPECT_EQ(sparse.row_step_count(2), 0);
-
-  std::vector<float> late_row = RandomVec(rng, kCols);
-  std::vector<float> late_copy = late_row;
-  std::vector<float> g = RandomVec(rng, kCols);
-  sparse.StepSpan(late_row, 2, g);
-  EXPECT_EQ(sparse.row_step_count(2), 1);
-
-  DenseAdam fresh(1, kCols, 0.1f);
-  fresh.StepSpan(late_copy, g);
-  EXPECT_TRUE(BitwiseEqual(late_row, late_copy));
-}
-
-TEST(SparseAdamTest, SaveRestoreCarriesStepCounts) {
-  constexpr size_t kCols = 3;
-  Rng rng(31);
-  SparseAdam opt(4, kCols, 0.05f);
-  std::vector<float> row = RandomVec(rng, kCols);
-  for (int k = 0; k < 3; ++k) {
-    opt.StepSpan(row, 1, RandomVec(rng, kCols));
-  }
-  const std::string blob = opt.SaveState();
-
-  SparseAdam restored(4, kCols, 0.05f);
-  ASSERT_TRUE(restored.RestoreState(blob));
-  EXPECT_EQ(restored.row_step_count(1), 3);
-  EXPECT_EQ(restored.SaveState(), blob);
-
-  // Rejections leave state untouched.
-  EXPECT_FALSE(restored.RestoreState("garbage-bytes"));
-  EXPECT_EQ(restored.SaveState(), blob);
-}
-
 TEST(SparseBlobsTest, ComposeSplitRoundTrip) {
   const std::vector<std::string> parts = {"alpha", "", "gamma-longer"};
   const std::string blob = ComposeSparseBlobs(parts);

@@ -197,18 +197,20 @@ TEST_F(SparseParityTest, CheckpointRoundTripsRowTouchedOnlyBeforeResume) {
   // checkpoint must come back with its accumulator bytes intact even
   // though nothing touches it afterwards. Driven at the checkpoint layer:
   // the sparse blob is an opaque section, so preserving it exactly is the
-  // whole contract.
-  SparseRowAdagrad adagrad(8, 4, 0.1f);
-  SparseAdam adam(8, 4, 0.05f);
+  // whole contract. Two tables, as a bilinear model checkpoints its entity
+  // and relation optimizers, so the composed blob splits into two parts.
+  SparseRowAdagrad entities(8, 4, 0.1f);
+  SparseRowAdagrad relations(8, 4, 0.05f);
   std::vector<float> row(4, 0.5f);
   const std::vector<float> grad = {0.1f, -0.2f, 0.3f, -0.4f};
-  adagrad.StepSpan(row, 2, grad);  // row 2: touched once, never again
-  adam.StepSpan(row, 5, grad);
-  adam.StepSpan(row, 5, grad);
+  entities.StepSpan(row, 2, grad);  // row 2: touched once, never again
+  relations.StepSpan(row, 5, grad);
+  relations.StepSpan(row, 5, grad);
 
   CheckpointState state;
   state.next_epoch = 3;
-  state.sparse = ComposeSparseBlobs({adagrad.SaveState(), adam.SaveState()});
+  state.sparse =
+      ComposeSparseBlobs({entities.SaveState(), relations.SaveState()});
 
   CheckpointOptions options;
   options.directory = CkptDir("sparse_row_epoch_n");
@@ -222,24 +224,27 @@ TEST_F(SparseParityTest, CheckpointRoundTripsRowTouchedOnlyBeforeResume) {
 
   std::vector<std::string> parts;
   ASSERT_TRUE(SplitSparseBlobs(restored->sparse, 2, parts));
-  SparseRowAdagrad adagrad2(8, 4, 0.1f);
-  SparseAdam adam2(8, 4, 0.05f);
-  ASSERT_TRUE(adagrad2.RestoreState(parts[0]));
-  ASSERT_TRUE(adam2.RestoreState(parts[1]));
-  EXPECT_EQ(adagrad2.SaveState(), parts[0]);
-  EXPECT_EQ(adam2.SaveState(), parts[1]);
-  EXPECT_EQ(adam2.row_step_count(5), 2);
+  SparseRowAdagrad entities2(8, 4, 0.1f);
+  SparseRowAdagrad relations2(8, 4, 0.05f);
+  ASSERT_TRUE(entities2.RestoreState(parts[0]));
+  ASSERT_TRUE(relations2.RestoreState(parts[1]));
+  EXPECT_EQ(entities2.SaveState(), parts[0]);
+  EXPECT_EQ(relations2.SaveState(), parts[1]);
 
-  // Touch *different* rows after the resume, then step the old row once
+  // Touch *different* rows after the resume, then step each old row once
   // more in both the original and the restored optimizer: identical
   // updates prove the old accumulator bytes survived untouched.
-  adagrad2.StepSpan(row, 7, grad);
-  adam2.StepSpan(row, 1, grad);
-  EXPECT_EQ(adagrad2.touched_rows(), 2u);
+  entities2.StepSpan(row, 7, grad);
+  relations2.StepSpan(row, 1, grad);
+  EXPECT_EQ(entities2.touched_rows(), 2u);
+  EXPECT_EQ(relations2.touched_rows(), 2u);
   std::vector<float> original_row = {1.0f, 1.0f, 1.0f, 1.0f};
   std::vector<float> restored_row = original_row;
-  adagrad.StepSpan(original_row, 2, grad);
-  adagrad2.StepSpan(restored_row, 2, grad);
+  entities.StepSpan(original_row, 2, grad);
+  entities2.StepSpan(restored_row, 2, grad);
+  EXPECT_EQ(original_row, restored_row);
+  relations.StepSpan(original_row, 5, grad);
+  relations2.StepSpan(restored_row, 5, grad);
   EXPECT_EQ(original_row, restored_row);
 }
 

@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,7 +56,7 @@ TEST(ThreadPoolTest, ReusableAcrossWaves) {
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  ParallelFor(pool, hits.size(),
+  ParallelFor(&pool, hits.size(),
               [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
@@ -63,29 +65,65 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, ZeroCountIsNoop) {
   ThreadPool pool(2);
-  ParallelFor(pool, 0, [](size_t) { FAIL() << "must not be called"; });
+  ParallelFor(&pool, 0, [](size_t) { FAIL() << "must not be called"; });
   SUCCEED();
 }
 
 TEST(ParallelForTest, MoreThreadsThanWork) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
-  ParallelFor(pool, 3, [&](size_t) { counter.fetch_add(1); });
+  ParallelFor(&pool, 3, [&](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ParallelForTest, PropagatesFirstExceptionAfterFinishingBatch) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      ParallelFor(pool, 100,
-                  [&](size_t i) {
-                    ran.fetch_add(1);
-                    if (i == 37) throw std::runtime_error("index 37");
-                  }),
-      std::runtime_error);
-  // A throwing index does not cancel the batch: every index still runs.
-  EXPECT_EQ(ran.load(), 100);
+TEST(ParallelForTest, ExceptionStopsNewIndicesAndRethrowsFirstAfterDrain) {
+  // One worker plus the caller. The worker is held busy until the caller
+  // has claimed index 0, so the helper strand claims index 1 and nothing
+  // else can claim in between. Index 1 throws; index 0 waits for the
+  // helper strand to leave the batch, then throws a second exception.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> release_worker{false};
+  std::atomic<bool> thrown{false};
+  pool.Submit([&] {
+    while (!release_worker.load()) std::this_thread::yield();
+  });
+  std::vector<std::atomic<int>> hits(100);
+  try {
+    ParallelFor(&pool, hits.size(), [&](size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 1) {
+        thrown.store(true);
+        throw std::runtime_error("index 1");
+      }
+      if (i == 0) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        release_worker.store(true);
+        while (!thrown.load()) std::this_thread::yield();
+        pool.Wait();  // the helper has seen its throw and left the batch
+        throw std::runtime_error("index 0");
+      }
+    });
+    ADD_FAILURE() << "ParallelFor did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
+  EXPECT_EQ(hits[0].load(), 1);
+  EXPECT_EQ(hits[1].load(), 1);
+  for (size_t i = 2; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 0) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, InlineExceptionPropagatesAtOnce) {
+  std::vector<size_t> ran;
+  EXPECT_THROW(ParallelFor(nullptr, 10,
+                           [&](size_t i) {
+                             ran.push_back(i);
+                             if (i == 4) throw std::runtime_error("index 4");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
@@ -95,8 +133,8 @@ TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
   // per-entity loop inside its candidate chunks this way).
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  ParallelFor(pool, 4, [&](size_t) {
-    ParallelFor(pool, 8, [&](size_t) { counter.fetch_add(1); });
+  ParallelFor(&pool, 4, [&](size_t) {
+    ParallelFor(&pool, 8, [&](size_t) { counter.fetch_add(1); });
   });
   EXPECT_EQ(counter.load(), 32);
 }
@@ -104,7 +142,7 @@ TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
 TEST(ParallelMapTest, ResultsArriveInIndexOrder) {
   ThreadPool pool(4);
   std::vector<size_t> squares =
-      ParallelMap(pool, 100, [](size_t i) { return i * i; });
+      ParallelMap(&pool, 100, [](size_t i) { return i * i; });
   ASSERT_EQ(squares.size(), 100u);
   for (size_t i = 0; i < squares.size(); ++i) {
     EXPECT_EQ(squares[i], i * i);
@@ -113,16 +151,31 @@ TEST(ParallelMapTest, ResultsArriveInIndexOrder) {
 
 TEST(ParallelMapTest, SingleIndexRunsOnCaller) {
   ThreadPool pool(2);
-  std::vector<int> out = ParallelMap(pool, 1, [](size_t) { return 41; });
+  std::vector<int> out = ParallelMap(&pool, 1, [](size_t) { return 41; });
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 41);
+}
+
+TEST(ParallelMapTest, NullPoolRunsInIndexOrderOnCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  std::vector<size_t> out = ParallelMap(nullptr, 50, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+    return i * 3;
+  });
+  ASSERT_EQ(out.size(), 50u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i * 3);
+    EXPECT_EQ(order[i], i);
+  }
 }
 
 TEST(CancellableParallelForTest, NoInterruptRunsEverything) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); },
+      &pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); },
       [] { return Status::Ok(); });
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.completed, hits.size());
@@ -135,7 +188,7 @@ TEST(CancellableParallelForTest, EntryInterruptStartsNothing) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, 100, [&](size_t) { ran.fetch_add(1); },
+      &pool, 100, [&](size_t) { ran.fetch_add(1); },
       [] { return Status::Cancelled("before anything started"); });
   EXPECT_EQ(outcome.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(outcome.completed, 0u);
@@ -151,7 +204,7 @@ TEST(CancellableParallelForTest, PreCancelledTokenLeavesPoolUsable) {
   cancel.RequestCancel();
   std::atomic<int> ran{0};
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, 64, [&](size_t) { ran.fetch_add(1); },
+      &pool, 64, [&](size_t) { ran.fetch_add(1); },
       [&]() -> Status {
         return cancel.cancelled() ? Status::Cancelled("pre-cancelled")
                                   : Status::Ok();
@@ -163,7 +216,7 @@ TEST(CancellableParallelForTest, PreCancelledTokenLeavesPoolUsable) {
   // The same pool must run follow-up work to completion (fresh token).
   CancelToken fresh;
   ParallelOutcome next = CancellableParallelFor(
-      pool, 64, [&](size_t) { ran.fetch_add(1); },
+      &pool, 64, [&](size_t) { ran.fetch_add(1); },
       [&]() -> Status {
         return fresh.cancelled() ? Status::Cancelled("unexpected")
                                  : Status::Ok();
@@ -185,7 +238,7 @@ TEST(CancellableParallelForTest, MidwayInterruptDrainsContiguousPrefix) {
   std::vector<std::atomic<int>> hits(kCount);
   std::atomic<size_t> started{0};
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, kCount,
+      &pool, kCount,
       [&](size_t i) {
         started.fetch_add(1);
         hits[i].fetch_add(1);
@@ -212,15 +265,15 @@ TEST(CancellableParallelForTest, ExceptionStopsNewIndicesAndRethrows) {
   std::vector<std::atomic<int>> hits(100);
   EXPECT_THROW(
       CancellableParallelFor(
-          pool, hits.size(),
+          &pool, hits.size(),
           [&](size_t i) {
             hits[i].fetch_add(1);
             if (i == 3) throw std::runtime_error("index 3");
           },
           [] { return Status::Ok(); }),
       std::runtime_error);
-  // Unlike plain ParallelFor, an exception latches the stop bit: started
-  // indices drain, unclaimed ones never run — and nothing runs twice.
+  // An exception latches the stop bit: started indices drain, unclaimed
+  // ones never run — and nothing runs twice.
   EXPECT_EQ(hits[3].load(), 1);
   for (size_t i = 0; i < hits.size(); ++i) {
     ASSERT_LE(hits[i].load(), 1) << "index " << i;
@@ -230,7 +283,7 @@ TEST(CancellableParallelForTest, ExceptionStopsNewIndicesAndRethrows) {
 TEST(CancellableParallelForTest, ZeroCountIsNoop) {
   ThreadPool pool(2);
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, 0, [](size_t) { FAIL() << "must not be called"; },
+      &pool, 0, [](size_t) { FAIL() << "must not be called"; },
       []() -> Status { ADD_FAILURE() << "no interrupt poll either"; return Status::Ok(); });
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.completed, 0u);
@@ -242,10 +295,10 @@ TEST(CancellableParallelForTest, NestedCallsDoNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   ParallelOutcome outer = CancellableParallelFor(
-      pool, 4,
+      &pool, 4,
       [&](size_t) {
         ParallelOutcome inner = CancellableParallelFor(
-            pool, 8, [&](size_t) { counter.fetch_add(1); },
+            &pool, 8, [&](size_t) { counter.fetch_add(1); },
             [] { return Status::Ok(); });
         EXPECT_TRUE(inner.status.ok());
       },
@@ -260,7 +313,7 @@ TEST(CancellableParallelMapTest, ReturnsExactlyTheCompletedPrefix) {
   std::atomic<size_t> started{0};
   ParallelOutcome outcome;
   std::vector<size_t> out = CancellableParallelMap(
-      pool, 200,
+      &pool, 200,
       [&](size_t i) {
         started.fetch_add(1);
         return i * i;
@@ -283,12 +336,60 @@ TEST(CancellableParallelMapTest, UninterruptedMapMatchesPlainMap) {
   ThreadPool pool(4);
   ParallelOutcome outcome;
   std::vector<size_t> out = CancellableParallelMap(
-      pool, 100, [](size_t i) { return i + 1; },
+      &pool, 100, [](size_t i) { return i + 1; },
       [] { return Status::Ok(); }, &outcome);
   EXPECT_TRUE(outcome.status.ok());
   ASSERT_EQ(out.size(), 100u);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i + 1);
+  }
+}
+
+TEST(CancellableParallelMapTest, InlinePathIsThePlainCheckedLoop) {
+  // A null pool, and a pool with a single index, run on the caller: the
+  // interrupt is checked before each index, and when its (k+1)-th check
+  // fails exactly k results come back and fn(k) is never called.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  struct Case {
+    ThreadPool* pool;
+    size_t count;
+  };
+  for (const Case& c : {Case{nullptr, 6}, Case{&pool, 1}}) {
+    for (size_t k = 0; k <= c.count; ++k) {
+      SCOPED_TRACE(testing::Message() << "pool=" << (c.pool != nullptr)
+                                      << " count=" << c.count << " k=" << k);
+      size_t checks = 0;
+      std::vector<size_t> called;
+      ParallelOutcome outcome;
+      std::vector<size_t> out = CancellableParallelMap(
+          c.pool, c.count,
+          [&](size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            called.push_back(i);
+            return i + 10;
+          },
+          [&]() -> Status {
+            return ++checks == k + 1 ? Status::Cancelled("stop")
+                                     : Status::Ok();
+          },
+          &outcome);
+      const size_t ran = std::min(k, c.count);
+      EXPECT_EQ(outcome.completed, ran);
+      EXPECT_EQ(checks, std::min(k + 1, c.count));
+      ASSERT_EQ(out.size(), ran);
+      ASSERT_EQ(called.size(), ran);
+      for (size_t i = 0; i < ran; ++i) {
+        EXPECT_EQ(out[i], i + 10);
+        EXPECT_EQ(called[i], i);
+      }
+      if (k < c.count) {
+        EXPECT_EQ(outcome.status.code(), StatusCode::kCancelled);
+        EXPECT_EQ(outcome.status.message(), "stop");
+      } else {
+        EXPECT_TRUE(outcome.status.ok());
+      }
+    }
   }
 }
 

@@ -221,7 +221,7 @@ TEST_F(TraceTest, ConcurrentSpansAndHistogramMergesAreSafe) {
   constexpr size_t kIters = 256;
   ThreadPool pool(4);
   ParallelOutcome outcome = CancellableParallelFor(
-      pool, kIters,
+      &pool, kIters,
       [&](size_t i) {
         Span item("item");
         {

@@ -35,13 +35,17 @@
 //       Renders the process metrics registry (Prometheus text exposition,
 //       or the combined metrics + trace JSON snapshot with --json).
 //
-// `evaluate`, `explain` and `xp` accept --metrics-out FILE: the trace
-// collector is armed for the command and the combined metrics + span
+// `evaluate`, `explain`, `serve` and `xp` accept --metrics-out FILE: the
+// trace collector is armed for the command and the combined metrics + span
 // snapshot is written as JSON when it finishes (also on failure, so
 // truncated runs keep their observability).
 //
+// Verbs() declares every flag each command reads; any other flag is an
+// InvalidArgument, and `kelpie` with no arguments prints each synopsis.
+//
 // Every command reports failures as a one-line `error: ...` on stderr and
 // exits nonzero; bad inputs never abort.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +54,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "baselines/explainer.h"
 #include "common/atomic_file.h"
@@ -79,40 +84,130 @@
 namespace kelpie {
 namespace {
 
-/// Minimal --flag value parser: flags may appear in any order; every flag
-/// takes a value except the boolean switches listed in IsSwitch.
+/// One flag a verb reads. `value` names its argument in the usage synopsis;
+/// nullptr marks a switch, which takes no value. `required` only shapes the
+/// synopsis: each command checks its own required flags.
+struct Flag {
+  const char* name;
+  const char* value;
+  bool required = false;
+};
+
+/// A command and every flag it reads. `operand` is the word a command takes
+/// before its flags (`kelpie cache stats ...`); empty for the others.
+struct Verb {
+  const char* name;
+  const char* operand;
+  std::vector<Flag> flags;
+};
+
+/// The one declaration of the CLI surface: Args rejects any flag its verb
+/// does not list here, and Usage() prints each synopsis from it.
+const std::vector<Verb>& Verbs() {
+  static const std::vector<Verb> verbs = {
+      {"generate", "",
+       {{"dataset", "NAME"}, {"scale", "S"}, {"seed", "N"},
+        {"out", "DIR", true}}},
+      {"train", "",
+       {{"data", "DIR", true}, {"model", "NAME"}, {"seed", "N"},
+        {"out", "FILE", true}, {"epochs", "N"}, {"dim", "N"},
+        {"grad-clip", "X"}, {"no-recover", nullptr}, {"max-recoveries", "N"},
+        {"checkpoint", "DIR"}, {"checkpoint-interval", "N"},
+        {"resume", nullptr}, {"sparse", nullptr}}},
+      {"evaluate", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"no-heads", nullptr}, {"per-relation", nullptr}, {"threads", "N"},
+        {"metrics-out", "FILE"}, {"quant-shortlist", nullptr}}},
+      {"explain", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"head", "H", true}, {"relation", "R", true}, {"tail", "T", true},
+        {"sufficient", nullptr}, {"head-query", nullptr}, {"threads", "N"},
+        {"work-budget", "N"}, {"per-prediction-timeout", "S"},
+        {"metrics-out", "FILE"}, {"canonical", nullptr}, {"id", "N"},
+        {"relevance-cache", "FILE"}, {"cache-bytes", "N"},
+        {"warm-mimics", nullptr}, {"quant-shortlist", nullptr}}},
+      {"score", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"head", "H", true}, {"relation", "R", true}, {"tail", "T", true},
+        {"canonical", nullptr}, {"id", "N"}}},
+      {"serve", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"host", "ADDR"}, {"port", "N"}, {"pool", "N"}, {"max-queue", "N"},
+        {"max-batch", "N"}, {"threads", "N"}, {"metrics-out", "FILE"},
+        {"relevance-cache", "FILE"}, {"cache-bytes", "N"},
+        {"warm-mimics", nullptr}, {"quant-shortlist", nullptr}}},
+      {"serve-client", "",
+       {{"port", "N", true}, {"host", "ADDR"}, {"connections", "N"},
+        {"in", "FILE"}, {"retries", "N"}, {"retry-backoff", "S"},
+        {"retry-backoff-cap", "S"}, {"retry-seed", "N"}}},
+      {"cache", "stats|purge", {{"file", "FILE", true}}},
+      {"update", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"delta", "FILE", true}, {"out", "FILE"}, {"out-data", "DIR"},
+        {"seed", "N"}, {"journal", "FILE"}, {"resume", nullptr},
+        {"relevance-cache", "FILE"}, {"cache-bytes", "N"},
+        {"warm-mimics", nullptr}}},
+      {"audit", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"relation", "R", true}, {"limit", "N"}, {"threads", "N"},
+        {"seed", "N"}}},
+      {"xp", "",
+       {{"data", "DIR", true}, {"model-file", "FILE", true},
+        {"scenario", "necessary|sufficient"}, {"journal", "FILE", true},
+        {"resume", nullptr}, {"sample", "N"}, {"seed", "N"},
+        {"conversion-set", "N"}, {"threads", "N"}, {"work-budget", "N"},
+        {"per-prediction-timeout", "S"}, {"deadline", "S"},
+        {"retry-truncated", nullptr}, {"metrics-out", "FILE"},
+        {"warm-start", "DIR"}, {"warm-epochs", "N"},
+        {"quant-shortlist", nullptr}}},
+      {"metrics", "",
+       {{"demo", nullptr}, {"json", nullptr}, {"out", "FILE"}}},
+  };
+  return verbs;
+}
+
+const Verb* FindVerb(const std::string& name) {
+  for (const Verb& verb : Verbs()) {
+    if (name == verb.name) return &verb;
+  }
+  return nullptr;
+}
+
+/// --flag value parser: flags may appear in any order; every flag takes a
+/// value except the verb's switches, and a flag the verb does not declare
+/// is an InvalidArgument.
 class Args {
  public:
-  /// `start` is the first argv index to parse — 2 for `kelpie <cmd> ...`,
-  /// 3 for commands with a verb (`kelpie cache stats ...`).
-  Args(int argc, char** argv, int start = 2) {
+  /// `start` is the first argv index to parse: 2 for `kelpie <cmd> ...`,
+  /// 3 for a command with an operand (`kelpie cache stats ...`).
+  Args(int argc, char** argv, int start, const Verb& verb) {
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
-        error_ = "unexpected argument: " + key;
+        status_ = Status::InvalidArgument("unexpected argument: " + key);
         return;
       }
       key = key.substr(2);
-      if (IsSwitch(key)) {
+      auto flag = std::find_if(
+          verb.flags.begin(), verb.flags.end(),
+          [&key](const Flag& f) { return key == f.name; });
+      if (flag == verb.flags.end()) {
+        status_ = Status::InvalidArgument("unknown flag --" + key +
+                                          " for kelpie " + verb.name);
+        return;
+      }
+      if (flag->value == nullptr) {
         values_[key] = "1";
       } else if (i + 1 < argc) {
         values_[key] = argv[++i];
       } else {
-        error_ = "flag --" + key + " needs a value";
+        status_ = Status::InvalidArgument("flag --" + key + " needs a value");
         return;
       }
     }
   }
 
-  static bool IsSwitch(const std::string& key) {
-    return key == "sufficient" || key == "head-query" || key == "no-heads" ||
-           key == "per-relation" || key == "no-recover" || key == "resume" ||
-           key == "retry-truncated" || key == "json" || key == "demo" ||
-           key == "canonical" || key == "warm-mimics" ||
-           key == "quant-shortlist" || key == "sparse";
-  }
-
-  const std::string& error() const { return error_; }
+  const Status& status() const { return status_; }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& fallback = "") const {
     auto it = values_.find(key);
@@ -152,7 +247,7 @@ class Args {
 
  private:
   std::map<std::string, std::string> values_;
-  std::string error_;
+  Status status_;
 };
 
 int Fail(const std::string& message) {
@@ -468,9 +563,8 @@ Status CmdExplain(const Args& args) {
                                 ? PredictionTarget::kHead
                                 : PredictionTarget::kTail;
   KelpieOptions options;
-  uint64_t threads = 0;
-  KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
-  options.num_threads = threads;
+  KELPIE_ASSIGN_OR_RETURN(options.engine.num_threads,
+                          args.GetU64("threads", 1));
   options.engine.warm_start_mimics = args.Has("warm-mimics");
   options.engine.quantized_shortlist = args.Has("quant-shortlist");
   KELPIE_ASSIGN_OR_RETURN(
@@ -568,11 +662,12 @@ Status CmdServe(const Args& args) {
   }
 
   serve::ServerOptions options;
-  uint64_t pool = 0, max_queue = 0, max_batch = 0, threads = 0;
+  uint64_t pool = 0, max_queue = 0, max_batch = 0;
   KELPIE_ASSIGN_OR_RETURN(pool, args.GetU64("pool", 2));
   KELPIE_ASSIGN_OR_RETURN(max_queue, args.GetU64("max-queue", 256));
   KELPIE_ASSIGN_OR_RETURN(max_batch, args.GetU64("max-batch", 16));
-  KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
+  KELPIE_ASSIGN_OR_RETURN(options.kelpie.engine.num_threads,
+                          args.GetU64("threads", 1));
   if (pool == 0) return Status::InvalidArgument("--pool must be >= 1");
   if (max_batch == 0) {
     return Status::InvalidArgument("--max-batch must be >= 1");
@@ -580,7 +675,6 @@ Status CmdServe(const Args& args) {
   options.pool_size = pool;
   options.max_queue_depth = max_queue;
   options.max_batch = max_batch;
-  options.kelpie.num_threads = threads;
   options.kelpie.engine.warm_start_mimics = args.Has("warm-mimics");
   options.kelpie.engine.quantized_shortlist = args.Has("quant-shortlist");
   if (args.Has("relevance-cache")) {
@@ -846,9 +940,8 @@ Status CmdAudit(const Args& args) {
   KELPIE_ASSIGN_OR_RETURN(limit, args.GetU64("limit", 8));
 
   KelpieOptions options;
-  uint64_t threads = 0;
-  KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
-  options.num_threads = threads;
+  KELPIE_ASSIGN_OR_RETURN(options.engine.num_threads,
+                          args.GetU64("threads", 1));
   Kelpie kelpie(**model, *dataset, options);
   PatternMiner miner;
   uint64_t seed = 0;
@@ -902,12 +995,15 @@ Status CmdXp(const Args& args) {
   if (!args.Has("journal")) {
     return Status::InvalidArgument("--journal FILE is required");
   }
-  uint64_t sample = 0, seed = 0, conversion_set_size = 0, threads = 0;
+  uint64_t sample = 0, seed = 0, conversion_set_size = 0;
   KELPIE_ASSIGN_OR_RETURN(sample, args.GetU64("sample", 8));
   KELPIE_ASSIGN_OR_RETURN(seed, args.GetU64("seed", 7));
   KELPIE_ASSIGN_OR_RETURN(conversion_set_size,
                           args.GetU64("conversion-set", 5));
-  KELPIE_ASSIGN_OR_RETURN(threads, args.GetU64("threads", 1));
+  KelpieOptions options;
+  KELPIE_ASSIGN_OR_RETURN(options.engine.num_threads,
+                          args.GetU64("threads", 1));
+  options.engine.quantized_shortlist = args.Has("quant-shortlist");
 
   Rng sample_rng(seed);
   std::vector<Triple> predictions =
@@ -918,9 +1014,6 @@ Status CmdXp(const Args& args) {
         "fact first");
   }
 
-  KelpieOptions options;
-  options.num_threads = threads;
-  options.engine.quantized_shortlist = args.Has("quant-shortlist");
   KelpieExplainer explainer(**model, *dataset, options);
 
   // Bounded extraction: Ctrl-C (or SIGTERM) flips the shared cancel token;
@@ -1039,43 +1132,18 @@ Status CmdMetrics(const Args& args) {
 }
 
 int Usage() {
+  std::printf("usage: kelpie <command> [flags]\n");
+  for (const Verb& verb : Verbs()) {
+    std::printf("  %-8s", verb.name);
+    if (verb.operand[0] != '\0') std::printf(" %s", verb.operand);
+    for (const Flag& flag : verb.flags) {
+      std::string text = std::string("--") + flag.name;
+      if (flag.value != nullptr) text += std::string(" ") + flag.value;
+      std::printf(flag.required ? " %s" : " [%s]", text.c_str());
+    }
+    std::printf("\n");
+  }
   std::printf(
-      "usage: kelpie <command> [flags]\n"
-      "  generate --dataset NAME --scale S --seed N --out DIR\n"
-      "  train    --data DIR --model NAME --seed N --out FILE "
-      "[--epochs N] [--dim N] [--grad-clip X] [--no-recover] "
-      "[--max-recoveries N] [--checkpoint DIR] [--checkpoint-interval N] "
-      "[--resume] [--sparse]\n"
-      "  evaluate --data DIR --model-file FILE [--no-heads] "
-      "[--per-relation] [--threads N] [--metrics-out FILE] "
-      "[--quant-shortlist]\n"
-      "  explain  --data DIR --model-file FILE --head H --relation R "
-      "--tail T [--sufficient] [--head-query] [--threads N] "
-      "[--work-budget N] [--per-prediction-timeout S] [--metrics-out FILE] "
-      "[--canonical] [--id N] [--relevance-cache FILE] [--cache-bytes N] "
-      "[--warm-mimics] [--quant-shortlist]\n"
-      "  score    --data DIR --model-file FILE --head H --relation R "
-      "--tail T [--canonical] [--id N]\n"
-      "  serve    --data DIR --model-file FILE [--host ADDR] [--port N] "
-      "[--pool N] [--max-queue N] [--max-batch N] "
-      "[--threads N] [--metrics-out FILE] [--relevance-cache FILE] "
-      "[--cache-bytes N] [--warm-mimics] [--quant-shortlist]\n"
-      "  serve-client --port N [--host ADDR] [--connections N] [--in FILE] "
-      "[--retries N] [--retry-backoff S] [--retry-backoff-cap S] "
-      "[--retry-seed N]\n"
-      "  cache    stats|purge --file FILE\n"
-      "  update   --data DIR --model-file FILE --delta FILE [--out FILE] "
-      "[--out-data DIR] [--seed N] [--journal FILE] [--resume] "
-      "[--relevance-cache FILE] [--cache-bytes N] [--warm-mimics]\n"
-      "  audit    --data DIR --model-file FILE --relation R [--limit N] "
-      "[--threads N]\n"
-      "  xp       --data DIR --model-file FILE --scenario "
-      "necessary|sufficient --journal FILE [--resume] [--sample N] "
-      "[--seed N] [--conversion-set N] [--threads N] [--work-budget N] "
-      "[--per-prediction-timeout S] [--deadline S] [--retry-truncated] "
-      "[--metrics-out FILE] [--warm-start DIR] [--warm-epochs N] "
-      "[--quant-shortlist]\n"
-      "  metrics  [--demo] [--json] [--out FILE]\n"
       "serving:\n"
       "  kelpie serve                newline-delimited-JSON TCP service over\n"
       "                              a pool of --pool pre-loaded model\n"
@@ -1150,9 +1218,9 @@ int Usage() {
       "                              process registry (--json for the\n"
       "                              combined metrics + trace snapshot;\n"
       "                              --demo populates sample series)\n"
-      "  --metrics-out FILE          on evaluate/explain/xp: arm the trace\n"
-      "                              collector and write the JSON snapshot\n"
-      "                              when the command finishes\n"
+      "  --metrics-out FILE          on evaluate/explain/serve/xp: arm the\n"
+      "                              trace collector and write the JSON\n"
+      "                              snapshot when the command finishes\n"
       "bounded extraction:\n"
       "  --work-budget N             deterministic per-prediction budget in\n"
       "                              work units (1 unit = one post-training);\n"
@@ -1186,16 +1254,13 @@ int Run(int argc, char** argv) {
     Status status = failpoint::ArmFromSpec(spec);
     if (!status.ok()) return Fail(status.ToString());
   }
-  std::string command = argv[1];
-  if (command == "cache") {
-    if (argc < 3) return Usage();
-    Args verb_args(argc, argv, 3);
-    if (!verb_args.error().empty()) return Fail(verb_args.error());
-    Status status = CmdCache(argv[2], verb_args);
-    return status.ok() ? 0 : Fail(status.ToString());
-  }
-  Args args(argc, argv);
-  if (!args.error().empty()) return Fail(args.error());
+  const std::string command = argv[1];
+  const Verb* verb = FindVerb(command);
+  if (verb == nullptr) return Usage();
+  const bool has_operand = verb->operand[0] != '\0';
+  if (has_operand && argc < 3) return Usage();
+  Args args(argc, argv, has_operand ? 3 : 2, *verb);
+  if (!args.status().ok()) return Fail(args.status().ToString());
   Status status = Status::Ok();
   if (command == "generate") {
     status = CmdGenerate(args);
@@ -1221,10 +1286,10 @@ int Run(int argc, char** argv) {
   } else if (command == "xp") {
     MetricsSink sink(args);
     status = sink.Finish(CmdXp(args));
+  } else if (command == "cache") {
+    status = CmdCache(argv[2], args);
   } else if (command == "metrics") {
     status = CmdMetrics(args);
-  } else {
-    return Usage();
   }
   return status.ok() ? 0 : Fail(status.ToString());
 }
