@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -13,28 +12,14 @@ namespace kelpie {
 
 namespace {
 
-/// Below this many lookups a linear scan beats hashing (tiny candidates are
-/// the common case: most explanations have 1-4 facts).
-constexpr size_t kLinearScanLimit = 8;
-
-/// Removes every triple of `to_remove` from `facts` (exact matches).
+/// Removes every triple of `to_remove` from `facts` (exact matches). A
+/// linear scan: candidates hold at most max_explanation_length facts.
 std::vector<Triple> WithoutFacts(const std::vector<Triple>& facts,
                                  const std::vector<Triple>& to_remove) {
   std::vector<Triple> out;
   out.reserve(facts.size());
-  if (to_remove.size() <= kLinearScanLimit) {
-    for (const Triple& f : facts) {
-      if (std::find(to_remove.begin(), to_remove.end(), f) ==
-          to_remove.end()) {
-        out.push_back(f);
-      }
-    }
-    return out;
-  }
-  const std::unordered_set<Triple, TripleHash> removed(to_remove.begin(),
-                                                       to_remove.end());
   for (const Triple& f : facts) {
-    if (removed.find(f) == removed.end()) {
+    if (std::find(to_remove.begin(), to_remove.end(), f) == to_remove.end()) {
       out.push_back(f);
     }
   }
@@ -215,22 +200,10 @@ double RelevanceEngine::SufficientRelevance(
     // Non-homologous mimic c'_{+X}: c's facts plus the candidate facts
     // transferred from the source entity to c.
     std::vector<Triple> facts = dataset_.train_graph().FactsOf(c);
-    if (candidate.size() <= kLinearScanLimit) {
-      for (const Triple& f : candidate) {
-        Triple transferred = TransferFact(f, source, c);
-        if (std::find(facts.begin(), facts.end(), transferred) ==
-            facts.end()) {
-          facts.push_back(transferred);
-        }
-      }
-    } else {
-      std::unordered_set<Triple, TripleHash> present(facts.begin(),
-                                                     facts.end());
-      for (const Triple& f : candidate) {
-        Triple transferred = TransferFact(f, source, c);
-        if (present.insert(transferred).second) {
-          facts.push_back(transferred);
-        }
+    for (const Triple& f : candidate) {
+      Triple transferred = TransferFact(f, source, c);
+      if (std::find(facts.begin(), facts.end(), transferred) == facts.end()) {
+        facts.push_back(transferred);
       }
     }
     std::vector<float> mimic = PostTrain(c, facts);

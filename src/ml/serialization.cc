@@ -66,12 +66,17 @@ Status WriteMatrix(std::ostream& out, const Matrix& m) {
   return Status::Ok();
 }
 
+bool MatrixWithinLimits(uint64_t rows, uint64_t cols) {
+  constexpr uint64_t kMaxSide = 1ull << 24;
+  // Each side is checked first, so the product cannot overflow.
+  return rows <= kMaxSide && cols <= kMaxSide && rows * cols <= (1ull << 30);
+}
+
 Status ReadMatrix(std::istream& in, Matrix& m) {
   uint64_t rows = 0, cols = 0;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, rows));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, cols));
-  if (rows > (1ull << 24) || cols > (1ull << 24) ||
-      rows * cols > (1ull << 30)) {
+  if (!MatrixWithinLimits(rows, cols)) {
     return Status::InvalidArgument("matrix shape " + std::to_string(rows) +
                                    "x" + std::to_string(cols) +
                                    " exceeds limits (corrupt stream?)");

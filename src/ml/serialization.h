@@ -26,8 +26,12 @@ Status ReadFloats(std::istream& in, std::vector<float>& values,
 /// Writes rows, cols and the row-major payload.
 Status WriteMatrix(std::ostream& out, const Matrix& m);
 
+/// The largest matrix ReadMatrix accepts: each side at most 2^24, at most
+/// 2^30 floats in all. Model construction applies the same bound.
+bool MatrixWithinLimits(uint64_t rows, uint64_t cols);
+
 /// Reads a matrix written by WriteMatrix; shape is restored from the
-/// stream.
+/// stream. InvalidArgument when the shape exceeds MatrixWithinLimits.
 Status ReadMatrix(std::istream& in, Matrix& m);
 
 /// Writes/reads a 64-bit unsigned scalar.

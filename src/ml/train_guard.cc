@@ -14,6 +14,9 @@ namespace kelpie {
 
 namespace {
 
+/// Learning-rate scale multiplier applied on each recovery.
+constexpr float kLrBackoff = 0.5f;
+
 /// Per-training-run metric handles, resolved once at RunGuardedEpochs entry
 /// (registry lookup is a cold, locked path; epoch-loop updates are not).
 struct TrainMetrics {
@@ -76,9 +79,9 @@ void RestoreSnapshot(const std::vector<std::vector<float>>& snapshot,
 /// warm start). Every failure path degrades to scratch.
 size_t MaybeRestoreCheckpoint(const GuardConfig& config,
                               const GuardedTrainHooks& hooks,
-                              const std::vector<std::span<float>>& params,
                               TrainReport& report, float& lr_scale,
                               int& recoveries_left) {
+  const std::vector<std::span<float>>& params = hooks.params;
   TrainCheckpointer* ckpt = config.checkpointer;
   if (ckpt == nullptr) return 0;
   std::optional<CheckpointState> state = ckpt->TryRestore();
@@ -125,7 +128,7 @@ size_t MaybeRestoreCheckpoint(const GuardConfig& config,
     // counter, RNG stream and recovery ledger start fresh.
     return 0;
   }
-  if (hooks.restore_rng) hooks.restore_rng(state->rng);
+  if (hooks.rng != nullptr) hooks.rng->LoadState(state->rng);
   report = state->report;
   // Completeness describes *this* run: a checkpoint written by a drained
   // (cancelled) run must not make its successful resume report Cancelled.
@@ -151,7 +154,7 @@ void SaveCheckpoint(const GuardConfig& config, const GuardedTrainHooks& hooks,
   state.lr_scale = lr_scale;
   state.recoveries_left = recoveries_left;
   state.report = report;
-  if (hooks.save_rng) state.rng = hooks.save_rng();
+  if (hooks.rng != nullptr) state.rng = hooks.rng->SaveState();
   state.counters = counters;
   state.params = committed_params;
   state.sparse = sparse;
@@ -171,57 +174,11 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
   TrainMetrics train_metrics = TrainMetrics::Resolve();
   trace::Span train_span("train");
 
-  if (!config.check_finite) {
-    // Guardrails off: plain epoch loop, no finiteness scans, no recovery.
-    // Checkpointing and cooperative cancellation still apply — crash safety
-    // is orthogonal to divergence protection. The observability updates per
-    // epoch are two relaxed stores and one histogram observe — noise
-    // against an epoch of gradient math.
-    std::vector<std::span<float>> params = hooks.params();
-    float lr_scale = 1.0f;
-    int recoveries_left = config.max_recoveries;
-    const size_t start_epoch = MaybeRestoreCheckpoint(
-        config, hooks, params, report, lr_scale, recoveries_left);
-    std::vector<std::vector<float>> committed;
-    std::vector<uint64_t> counters;
-    std::string sparse;
-    auto persist = [&](size_t next_epoch) {
-      TakeSnapshot(params, committed);
-      if (hooks.save_counters) counters = hooks.save_counters();
-      if (hooks.save_sparse) sparse = hooks.save_sparse();
-      SaveCheckpoint(config, hooks, next_epoch, lr_scale, recoveries_left,
-                     report, committed, counters, sparse);
-    };
-    for (size_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
-      if (config.cancel.cancelled()) {
-        report.completeness = Completeness::kCancelled;
-        persist(epoch);
-        return report;
-      }
-      Stopwatch epoch_timer;
-      const double loss = hooks.run_epoch(epoch, /*lr_scale=*/1.0f);
-      train_metrics.epoch_seconds.Observe(epoch_timer.ElapsedSeconds());
-      train_metrics.epochs.Increment();
-      train_metrics.loss_last.Set(loss);
-      ++report.epochs_run;
-      if (config.checkpointer != nullptr &&
-          (config.checkpointer->ShouldSave(epoch + 1) ||
-           epoch + 1 == config.epochs)) {
-        persist(epoch + 1);
-      }
-      if (failpoint::Fire("train.interrupt", epoch)) {
-        return Status::Aborted("train.interrupt failpoint fired after epoch " +
-                               std::to_string(epoch));
-      }
-    }
-    return report;
-  }
-
-  std::vector<std::span<float>> params = hooks.params();
+  const std::vector<std::span<float>>& params = hooks.params;
   float lr_scale = 1.0f;
   int recoveries_left = config.max_recoveries;
-  const size_t start_epoch = MaybeRestoreCheckpoint(
-      config, hooks, params, report, lr_scale, recoveries_left);
+  const size_t start_epoch =
+      MaybeRestoreCheckpoint(config, hooks, report, lr_scale, recoveries_left);
 
   std::vector<std::vector<float>> snapshot;
   std::vector<uint64_t> counters;
@@ -283,27 +240,19 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
       continue;
     }
 
-    if (!config.recover_on_divergence || recoveries_left <= 0) {
-      RestoreSnapshot(snapshot, params);
-      if (hooks.restore_counters) hooks.restore_counters(counters);
-      if (hooks.restore_sparse) hooks.restore_sparse(sparse_snapshot);
-      std::string msg = "training diverged at epoch " + std::to_string(epoch) +
-                        " (" + reason + ")";
-      if (config.recover_on_divergence) {
-        msg += " after " + std::to_string(config.max_recoveries) +
-               " recovery attempts";
-      } else {
-        msg += "; recovery disabled";
-      }
-      return Status::Aborted(std::move(msg));
-    }
-
     RestoreSnapshot(snapshot, params);
     if (hooks.restore_counters) hooks.restore_counters(counters);
     if (hooks.restore_sparse) hooks.restore_sparse(sparse_snapshot);
+    if (recoveries_left <= 0) {
+      return Status::Aborted("training diverged at epoch " +
+                             std::to_string(epoch) + " (" + reason +
+                             ") after " +
+                             std::to_string(config.max_recoveries) +
+                             " recovery attempts");
+    }
     train_metrics.recoveries.Increment();
     --recoveries_left;
-    lr_scale *= config.lr_backoff;
+    lr_scale *= kLrBackoff;
     ++report.recoveries;
     report.events.push_back(
         {epoch, lr_scale, reason});

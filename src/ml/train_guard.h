@@ -16,20 +16,14 @@ namespace kelpie {
 
 class TrainCheckpointer;
 
-/// Guardrail knobs for one training run. Trainers populate this from the
-/// robustness fields of TrainConfig (models/model.h); keeping a separate
-/// struct here avoids an upward dependency from the ML substrate onto the
-/// model layer.
+/// Guardrail knobs for one training run. Trainers populate this from
+/// TrainConfig (models/model.h); keeping a separate struct here avoids an
+/// upward dependency from the ML substrate onto the model layer.
 struct GuardConfig {
   size_t epochs = 0;
-  /// Off = plain epoch loop: no finiteness scans, no snapshots, no recovery.
-  bool check_finite = true;
-  /// On divergence, rewind and retry instead of aborting.
-  bool recover_on_divergence = true;
-  /// Rewind-and-retry budget per training run.
+  /// Rewind-and-retry budget per training run; 0 disables recovery, so the
+  /// first diverged epoch rewinds and aborts.
   int max_recoveries = 3;
-  /// Learning-rate scale multiplier applied on each recovery.
-  float lr_backoff = 0.5f;
   /// Optional crash-safe checkpointing (ml/checkpoint.h). Non-owning; when
   /// set, the guard restores state before the first epoch (resume or
   /// warm-start, per the checkpointer's mode) and persists state at commit
@@ -79,14 +73,16 @@ struct TrainReport {
   std::vector<RecoveryEvent> events;
 };
 
-/// Callbacks a model trainer hands to RunGuardedEpochs. The guard owns the
+/// What a model trainer hands to RunGuardedEpochs. The guard owns the
 /// epoch loop; the trainer owns the math.
 struct GuardedTrainHooks {
-  /// All mutable float state that one epoch can touch: embedding tables AND
-  /// optimizer accumulators (Adagrad sums, Adam moments). The guard scans
-  /// these for finiteness and snapshots/restores them on recovery; any span
-  /// omitted here silently escapes the rewind.
-  std::function<std::vector<std::span<float>>()> params;
+  /// All mutable float state that one epoch can touch: the model's learned
+  /// tensors, then the optimizer accumulators (Adagrad sums, Adam moments).
+  /// The guard scans these for finiteness, snapshots/restores them on
+  /// recovery and persists them as the checkpoint's params section; any
+  /// span omitted here silently escapes the rewind. The spans must stay
+  /// valid for the whole run.
+  std::vector<std::span<float>> params;
 
   /// Runs one full training epoch with the learning rate scaled by
   /// `lr_scale` (1.0 on the happy path — multiplying by it must be a
@@ -99,13 +95,12 @@ struct GuardedTrainHooks {
   std::function<std::vector<uint64_t>()> save_counters;
   std::function<void(const std::vector<uint64_t>&)> restore_counters;
 
-  /// Optional: the training RNG stream position, captured at commit
-  /// boundaries and restored on checkpoint resume. Required for
-  /// byte-identical resume (shuffles and negative draws continue exactly
-  /// where the interrupted run left off); omit both when the trainer is
-  /// never checkpointed.
-  std::function<RngState()> save_rng;
-  std::function<void(const RngState&)> restore_rng;
+  /// Optional: the training RNG. Its stream position is captured at commit
+  /// boundaries and restored on checkpoint resume, which byte-identical
+  /// resume needs (shuffles and negative draws continue exactly where the
+  /// interrupted run left off). Null when the trainer is never
+  /// checkpointed.
+  Rng* rng = nullptr;
 
   /// Optional: sparse optimizer state (TrainConfig::sparse_updates) whose
   /// storage grows as rows are touched and therefore cannot ride in the
@@ -127,16 +122,16 @@ struct GuardedTrainHooks {
 /// Runs `config.epochs` training epochs with divergence guardrails:
 ///
 ///  - After each epoch the loss proxy and every `params` span are checked
-///    for finiteness (skipped entirely when `config.check_finite` is off).
+///    for finiteness.
 ///  - A finite epoch is committed: the guard snapshots all state in memory
 ///    and advances.
 ///  - A diverged epoch is rolled back to the last committed snapshot, the
-///    learning-rate scale is multiplied by `config.lr_backoff`, and the
-///    same epoch is retried — at most `config.max_recoveries` times per
-///    run. Each recovery is logged as a warning and recorded in the report.
-///  - If recovery is disabled (`config.recover_on_divergence == false`) or
-///    the budget is exhausted, returns `Status::Aborted` and leaves the
-///    parameters in the last committed (finite) state.
+///    learning-rate scale is halved, and the same epoch is retried — at
+///    most `config.max_recoveries` times per run. Each recovery is logged as
+///    a warning and recorded in the report.
+///  - Once the budget is exhausted (at once when it is 0), returns
+///    `Status::Aborted` and leaves the parameters in the last committed
+///    (finite) state.
 ///
 /// Crash safety: with `config.checkpointer` set, the guard persists
 /// (parameters, optimizer counters, RNG position, epoch counter, recovery

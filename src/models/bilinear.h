@@ -39,8 +39,6 @@ class BilinearModel : public EmbeddingModel {
                                     Rng& rng,
                                     std::span<const float> warm_init)
       const override;
-  Status SaveParameters(std::ostream& out) const override;
-  Status LoadParameters(std::istream& in) override;
 
  protected:
   BilinearModel(size_t num_entities, size_t num_relations,

@@ -4,13 +4,10 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "math/simd.h"
 #include "math/vec.h"
 #include "ml/batcher.h"
-#include "ml/embedding_table.h"
 #include "ml/optimizer.h"
-#include "ml/serialization.h"
 
 namespace kelpie {
 
@@ -44,7 +41,7 @@ void DropoutBackward(std::span<const float> mask, std::span<float> grad) {
 
 ConvE::ConvE(size_t num_entities, size_t num_relations, TrainConfig config)
     : EmbeddingModel(num_entities, std::move(config),
-                     CandidateSweep::Kernel::kDot),
+                     CandidateSweep::Kernel::kDot, InitScheme::kNormal, 0.1),
       num_base_relations_(num_relations),
       // Reciprocal-relation augmentation (the original ConvE training
       // protocol): relation r + num_relations is r's inverse, and head
@@ -55,6 +52,12 @@ ConvE::ConvE(size_t num_entities, size_t num_relations, TrainConfig config)
   conv_ = Conv2d(image_h(), image_w(), config_.conv_kernel,
                  config_.conv_kernel, config_.conv_channels);
   fc_ = DenseLayer(conv_.OutputSize(), config_.dim);
+  AddTensor(relation_embeddings_);
+  AddTensor(entity_bias_);
+  AddTensor(conv_.weights());
+  AddTensor(conv_.bias());
+  AddTensor(fc_.weights());
+  AddTensor(fc_.bias());
 }
 
 void ConvE::SharedGrads::Resize(const Conv2d& conv, const DenseLayer& fc) {
@@ -195,7 +198,7 @@ std::vector<float> ConvE::ScoreGradWrtTail(const Triple& t) const {
 
 Status ConvE::Train(const Dataset& dataset, Rng& rng,
                     const TrainControl& control) {
-  InitMatrix(entity_embeddings_, InitScheme::kNormal, 0.1, rng);
+  InitEntityTable(rng);
   InitMatrix(relation_embeddings_, InitScheme::kNormal, 0.1, rng);
   std::fill(entity_bias_.begin(), entity_bias_.end(), 0.0f);
   conv_.Init(rng);
@@ -252,39 +255,22 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
       config_.label_smoothing / static_cast<float>(n_ent);
   const float smooth_neg = config_.label_smoothing / static_cast<float>(n_ent);
 
-  const float clip = config_.grad_clip_norm;
-  // Clip activations are tallied in a local (the clip sits inside the
-  // innermost gradient loop) and flushed to the registry once per run.
-  uint64_t clip_activations = 0;
-  auto maybe_clip = [clip, &clip_activations](std::span<float> g) {
-    if (clip > 0.0f && ProjectToL2Ball(g, clip)) ++clip_activations;
-  };
+  GradientClip maybe_clip(config_.grad_clip_norm);
 
   GuardedTrainHooks hooks;
-  hooks.params = [&] {
-    // Dense mode keeps the historical 18-span layout so pre-sparse
-    // checkpoints stay resumable; in sparse mode the three Adagrad
-    // accumulators move into the save_sparse/restore_sparse blob and the
-    // Adam moments (dense by nature) stay here.
-    std::vector<std::span<float>> spans{
-        entity_embeddings_.Data(),   relation_embeddings_.Data(),
-        std::span<float>(entity_bias_), conv_.weights().Data(),
-        conv_.bias(),                fc_.weights().Data(),
-        fc_.bias()};
-    if (!config_.sparse_updates) {
-      spans.push_back(entity_opt.DenseAccumData());
-      spans.push_back(relation_opt.DenseAccumData());
-      spans.push_back(bias_opt.DenseAccumData());
-    }
-    for (std::span<float> s :
-         {conv_w_opt.MomentMData(), conv_w_opt.MomentVData(),
-          conv_b_opt.MomentMData(), conv_b_opt.MomentVData(),
-          fc_w_opt.MomentMData(), fc_w_opt.MomentVData(),
-          fc_b_opt.MomentMData(), fc_b_opt.MomentVData()}) {
-      spans.push_back(s);
-    }
-    return spans;
-  };
+  // Dense mode keeps the historical 18-span layout (7 tensors, then these)
+  // so pre-sparse checkpoints stay resumable; in sparse mode the three
+  // Adagrad accumulators move into the save_sparse/restore_sparse blob and
+  // the Adam moments (dense by nature) stay here.
+  if (!config_.sparse_updates) {
+    hooks.params = {entity_opt.DenseAccumData(), relation_opt.DenseAccumData(),
+                    bias_opt.DenseAccumData()};
+  }
+  hooks.params.insert(hooks.params.end(),
+                      {conv_w_opt.MomentMData(), conv_w_opt.MomentVData(),
+                       conv_b_opt.MomentMData(), conv_b_opt.MomentVData(),
+                       fc_w_opt.MomentMData(), fc_w_opt.MomentVData(),
+                       fc_b_opt.MomentMData(), fc_b_opt.MomentVData()});
   if (config_.sparse_updates) {
     hooks.save_sparse = [&] {
       return ComposeSparseBlobs({entity_opt.SaveSparseState(),
@@ -391,20 +377,7 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
     }
     return epoch_loss;
   };
-
-  hooks.save_rng = [&] { return rng.SaveState(); };
-  hooks.restore_rng = [&](const RngState& state) { rng.LoadState(state); };
-
-  Result<TrainReport> report =
-      RunGuardedEpochs(MakeGuardConfig(control), hooks);
-  metrics::Registry::Global()
-      .GetCounter("kelpie_train_grad_clip_total", {},
-                  metrics::Determinism::kDeterministic,
-                  "Gradient clip activations (L2 projection rescales).")
-      .Increment(clip_activations);
-  if (!report.ok()) return report.status();
-  last_train_report_ = std::move(report.value());
-  return Status::Ok();
+  return RunGuardedTraining(std::move(hooks), rng, control);
 }
 
 std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
@@ -416,19 +389,13 @@ std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
   (void)dataset;
   const size_t n_ent = num_entities();
   const size_t dim = config_.dim;
-  std::vector<float> mimic(dim);
-  if (warm_init.size() == mimic.size()) {
-    std::copy(warm_init.begin(), warm_init.end(), mimic.begin());
-  } else {
-    InitRow(mimic, InitScheme::kNormal, 0.1, rng);
-  }
+  MimicStart start = StartMimic(warm_init, rng);
+  std::vector<float> mimic = std::move(start.row);
   if (facts.empty()) return mimic;
 
-  const float lr = config_.post_training_lr > 0 ? config_.post_training_lr
-                                                : config_.learning_rate;
   // One-row optimizer for the mimic; under sparse_updates its accumulator
   // materializes on the first gradient (same bytes either way).
-  EmbeddingAdagrad mimic_opt(config_.sparse_updates, 1, dim, lr);
+  EmbeddingAdagrad mimic_opt(config_.sparse_updates, 1, dim, start.lr);
 
   // Every fact becomes a mimic-as-head sample, using the reciprocal
   // relation when the mimic is the fact's tail — mirroring training.
@@ -449,89 +416,41 @@ std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
   ForwardCache cache;
   std::vector<float> scores(n_ent);
   std::vector<float> dv(dim), gm(dim);
-  std::vector<size_t> order(samples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   const float smooth_pos =
       1.0f - config_.label_smoothing +
       config_.label_smoothing / static_cast<float>(n_ent);
   const float smooth_neg = config_.label_smoothing / static_cast<float>(n_ent);
 
-  for (size_t epoch = 0; epoch < config_.post_training_epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (size_t idx : order) {
-      const Triple& sample = samples[idx];
-      Fill(std::span<float>(gm), 0.0f);
-      // Mimic as head of the (possibly reciprocal) query: full 1-N BCE;
-      // the gradient reaches the mimic through the convolution input while
-      // every other parameter stays frozen.
-      ForwardMlp(mimic,
-                 relation_embeddings_.Row(static_cast<size_t>(sample.relation)),
-                 cache, &rng);
-      simd::GemvRowMajor(entity_embeddings_.Data().data(), n_ent, dim,
-                         cache.v.data(), scores.data());
-      simd::Axpy(1.0f, entity_bias_, scores);
-      std::vector<char> is_positive(n_ent, 0);
-      auto it = mimic_tails.find(PairKey(entity, sample.relation));
-      if (it != mimic_tails.end()) {
-        for (EntityId t : it->second) {
-          is_positive[static_cast<size_t>(t)] = 1;
-        }
+  ForEachMimicStep(samples.size(), rng, [&](size_t idx) {
+    const Triple& sample = samples[idx];
+    Fill(std::span<float>(gm), 0.0f);
+    // Mimic as head of the (possibly reciprocal) query: full 1-N BCE;
+    // the gradient reaches the mimic through the convolution input while
+    // every other parameter stays frozen.
+    ForwardMlp(mimic,
+               relation_embeddings_.Row(static_cast<size_t>(sample.relation)),
+               cache, &rng);
+    simd::GemvRowMajor(entity_embeddings_.Data().data(), n_ent, dim,
+                       cache.v.data(), scores.data());
+    simd::Axpy(1.0f, entity_bias_, scores);
+    std::vector<char> is_positive(n_ent, 0);
+    auto it = mimic_tails.find(PairKey(entity, sample.relation));
+    if (it != mimic_tails.end()) {
+      for (EntityId t : it->second) {
+        is_positive[static_cast<size_t>(t)] = 1;
       }
-      Fill(std::span<float>(dv), 0.0f);
-      const float inv_n = 1.0f / static_cast<float>(n_ent);
-      for (size_t e = 0; e < n_ent; ++e) {
-        float label = is_positive[e] ? smooth_pos : smooth_neg;
-        float dphi = (Sigmoid(scores[e]) - label) * inv_n;
-        Axpy(dphi, entity_embeddings_.Row(e), std::span<float>(dv));
-      }
-      BackwardMlp(cache, dv, nullptr, gm, {});
-      mimic_opt.StepSpan(mimic, 0, gm);
     }
-  }
+    Fill(std::span<float>(dv), 0.0f);
+    const float inv_n = 1.0f / static_cast<float>(n_ent);
+    for (size_t e = 0; e < n_ent; ++e) {
+      float label = is_positive[e] ? smooth_pos : smooth_neg;
+      float dphi = (Sigmoid(scores[e]) - label) * inv_n;
+      Axpy(dphi, entity_embeddings_.Row(e), std::span<float>(dv));
+    }
+    BackwardMlp(cache, dv, nullptr, gm, {});
+    mimic_opt.StepSpan(mimic, 0, gm);
+  });
   return mimic;
-}
-
-Status ConvE::SaveParameters(std::ostream& out) const {
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, entity_embeddings_));
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, relation_embeddings_));
-  KELPIE_RETURN_IF_ERROR(WriteFloats(out, entity_bias_));
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, conv_.weights()));
-  KELPIE_RETURN_IF_ERROR(WriteFloats(out, conv_.bias()));
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, fc_.weights()));
-  return WriteFloats(out, fc_.bias());
-}
-
-Status ConvE::LoadParameters(std::istream& in) {
-  Matrix entities, relations, conv_w, fc_w;
-  std::vector<float> bias, conv_b, fc_b;
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, entities));
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, relations));
-  KELPIE_RETURN_IF_ERROR(ReadFloats(in, bias));
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, conv_w));
-  KELPIE_RETURN_IF_ERROR(ReadFloats(in, conv_b));
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, fc_w));
-  KELPIE_RETURN_IF_ERROR(ReadFloats(in, fc_b));
-  if (entities.rows() != entity_embeddings_.rows() ||
-      entities.cols() != entity_embeddings_.cols() ||
-      relations.rows() != relation_embeddings_.rows() ||
-      relations.cols() != relation_embeddings_.cols() ||
-      bias.size() != entity_bias_.size() ||
-      conv_w.rows() != conv_.weights().rows() ||
-      conv_w.cols() != conv_.weights().cols() ||
-      conv_b.size() != conv_.bias().size() ||
-      fc_w.rows() != fc_.weights().rows() ||
-      fc_w.cols() != fc_.weights().cols() ||
-      fc_b.size() != fc_.bias().size()) {
-    return Status::InvalidArgument("ConvE parameter shape mismatch");
-  }
-  entity_embeddings_ = std::move(entities);
-  relation_embeddings_ = std::move(relations);
-  entity_bias_ = std::move(bias);
-  conv_.weights() = std::move(conv_w);
-  conv_.bias() = std::move(conv_b);
-  fc_.weights() = std::move(fc_w);
-  fc_.bias() = std::move(fc_b);
-  return Status::Ok();
 }
 
 }  // namespace kelpie

@@ -47,8 +47,6 @@ class ConvE final : public EmbeddingModel {
                                     Rng& rng,
                                     std::span<const float> warm_init)
       const override;
-  Status SaveParameters(std::ostream& out) const override;
-  Status LoadParameters(std::istream& in) override;
 
   /// Per-entity output bias b_e (exposed for tests).
   const std::vector<float>& entity_bias() const { return entity_bias_; }

@@ -1,6 +1,7 @@
 #include "models/factory.h"
 
 #include "common/logging.h"
+#include "ml/serialization.h"
 #include "models/complex.h"
 #include "models/conve.h"
 #include "models/distmult.h"
@@ -83,18 +84,33 @@ TrainConfig DefaultConfig(ModelKind kind, const Dataset& dataset) {
   return config;
 }
 
-Status ValidateConfig(ModelKind kind, const TrainConfig& config) {
+Status ValidateConfig(ModelKind kind, const TrainConfig& config,
+                      size_t num_entities, size_t num_relations) {
   if (config.dim == 0) {
     return Status::InvalidArgument("dim must be positive");
   }
   if (config.batch_size == 0) {
     return Status::InvalidArgument("batch size must be positive");
   }
+  if (config.negatives_per_positive < 1) {
+    return Status::InvalidArgument("negatives per positive must be >= 1");
+  }
   if ((kind == ModelKind::kComplEx || kind == ModelKind::kRotatE) &&
       config.dim % 2 != 0) {
     return Status::InvalidArgument(
         std::string(ModelKindName(kind)) + " requires an even dim, got " +
         std::to_string(config.dim));
+  }
+  // ConvE keeps a reciprocal row per relation. Bounding the plain counts
+  // first keeps every product below in range.
+  if (!MatrixWithinLimits(num_entities, config.dim) ||
+      !MatrixWithinLimits(num_relations, config.dim) ||
+      (kind == ModelKind::kConvE &&
+       !MatrixWithinLimits(2 * num_relations, config.dim))) {
+    return Status::InvalidArgument(
+        "tables of " + std::to_string(num_entities) + " entities / " +
+        std::to_string(num_relations) + " relations at dim " +
+        std::to_string(config.dim) + " exceed the matrix limits");
   }
   if (kind == ModelKind::kConvE) {
     if (config.reshape_height == 0 ||
@@ -104,14 +120,29 @@ Status ValidateConfig(ModelKind kind, const TrainConfig& config) {
           std::to_string(config.dim) + " reshape_height=" +
           std::to_string(config.reshape_height));
     }
+    const size_t image_h = 2 * config.reshape_height;
+    const size_t image_w = config.dim / config.reshape_height;
+    const size_t kernel = config.conv_kernel;
+    if (kernel == 0 || kernel > image_h || kernel > image_w) {
+      return Status::InvalidArgument(
+          "ConvE conv kernel " + std::to_string(kernel) +
+          " does not fit its " + std::to_string(image_h) + "x" +
+          std::to_string(image_w) + " image");
+    }
+    // Conv weights, then the FC layer over the conv output. Once the first
+    // fits, channels <= 2^24 and the image has 2 * dim <= 2^25 pixels, so
+    // the output size cannot overflow.
+    if (!MatrixWithinLimits(config.conv_channels, kernel * kernel) ||
+        !MatrixWithinLimits(config.dim, config.conv_channels *
+                                            (image_h - kernel + 1) *
+                                            (image_w - kernel + 1))) {
+      return Status::InvalidArgument(
+          "ConvE layers of " + std::to_string(config.conv_channels) +
+          " channels exceed the matrix limits");
+    }
   }
   if (config.max_recoveries < 0) {
     return Status::InvalidArgument("max recoveries must be >= 0");
-  }
-  if (!(config.lr_backoff > 0.0f && config.lr_backoff < 1.0f)) {
-    return Status::InvalidArgument(
-        "lr backoff must be in (0, 1), got " +
-        std::to_string(config.lr_backoff));
   }
   if (config.grad_clip_norm < 0.0f) {
     return Status::InvalidArgument("gradient clip norm must be >= 0");
@@ -119,24 +150,29 @@ Status ValidateConfig(ModelKind kind, const TrainConfig& config) {
   return Status::Ok();
 }
 
+std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(
+    ModelKind kind, size_t num_entities, size_t num_relations,
+    const TrainConfig& config) {
+  switch (kind) {
+    case ModelKind::kTransE:
+      return std::make_unique<TransE>(num_entities, num_relations, config);
+    case ModelKind::kComplEx:
+      return std::make_unique<ComplEx>(num_entities, num_relations, config);
+    case ModelKind::kConvE:
+      return std::make_unique<ConvE>(num_entities, num_relations, config);
+    case ModelKind::kDistMult:
+      return std::make_unique<DistMult>(num_entities, num_relations, config);
+    case ModelKind::kRotatE:
+      return std::make_unique<RotatE>(num_entities, num_relations, config);
+  }
+  return nullptr;
+}
+
 std::unique_ptr<LinkPredictionModel> CreateModel(ModelKind kind,
                                                  const Dataset& dataset,
                                                  const TrainConfig& config) {
-  const size_t n_ent = dataset.num_entities();
-  const size_t n_rel = dataset.num_relations();
-  switch (kind) {
-    case ModelKind::kTransE:
-      return std::make_unique<TransE>(n_ent, n_rel, config);
-    case ModelKind::kComplEx:
-      return std::make_unique<ComplEx>(n_ent, n_rel, config);
-    case ModelKind::kConvE:
-      return std::make_unique<ConvE>(n_ent, n_rel, config);
-    case ModelKind::kDistMult:
-      return std::make_unique<DistMult>(n_ent, n_rel, config);
-    case ModelKind::kRotatE:
-      return std::make_unique<RotatE>(n_ent, n_rel, config);
-  }
-  return nullptr;
+  return CreateModelWithSizes(kind, dataset.num_entities(),
+                              dataset.num_relations(), config);
 }
 
 std::unique_ptr<LinkPredictionModel> CreateAndTrain(ModelKind kind,

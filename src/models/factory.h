@@ -26,12 +26,20 @@ Result<ModelKind> ParseModelKind(std::string_view name);
 /// datasets.
 TrainConfig DefaultConfig(ModelKind kind, const Dataset& dataset);
 
-/// Checks user-supplied hyperparameters against a model's structural
-/// requirements (dimension divisibility, positive epoch/batch counts,
-/// sensible recovery knobs) before construction. The model constructors
-/// enforce the same invariants with KELPIE_CHECK; calling this first turns
-/// a bad `--dim` on the CLI into an error message instead of an abort.
-Status ValidateConfig(ModelKind kind, const TrainConfig& config);
+/// Checks user-supplied hyperparameters and the table shapes they give a
+/// model of `num_entities` x `num_relations` (dimension divisibility,
+/// positive counts, a sane recovery budget, every table within the limits
+/// ReadMatrix applies) before construction. The model constructors enforce
+/// the structural invariants with KELPIE_CHECK, and an oversized table
+/// would abort on allocation; calling this first turns a bad `--dim` on the
+/// CLI or a crafted model file into InvalidArgument instead.
+Status ValidateConfig(ModelKind kind, const TrainConfig& config,
+                      size_t num_entities, size_t num_relations);
+
+/// Instantiates an untrained model from sizes: the one construction switch.
+std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(
+    ModelKind kind, size_t num_entities, size_t num_relations,
+    const TrainConfig& config);
 
 /// Instantiates an untrained model sized for `dataset`.
 std::unique_ptr<LinkPredictionModel> CreateModel(ModelKind kind,

@@ -93,18 +93,12 @@ struct TrainConfig {
   /// the train fingerprint: models trained either way are interchangeable.
   bool sparse_updates = false;
 
-  // Robustness guardrails (see ml/train_guard.h for semantics).
-  /// Check the per-epoch loss proxy and all parameters/optimizer state for
-  /// finiteness after every epoch. Off = no scans, no snapshots, no
-  /// recovery.
-  bool check_finite = true;
-  /// On a non-finite epoch, rewind to the last finite state, back off the
-  /// learning rate, and retry; when false, Train() returns Aborted instead.
-  bool recover_on_divergence = true;
-  /// Rewind-and-retry budget per Train() call.
+  // Robustness guardrails (see ml/train_guard.h for semantics). Every
+  // epoch is checked for finiteness; a diverged one is rewound and retried
+  // at half the learning rate.
+  /// Rewind-and-retry budget per Train() call; 0 disables recovery, so the
+  /// first diverged epoch aborts the run.
   int max_recoveries = 3;
-  /// Learning-rate scale multiplier applied on each recovery.
-  float lr_backoff = 0.5f;
   /// When > 0, clip per-example gradient vectors to this L2 norm in the
   /// trainers that can produce unbounded gradients (ComplEx/DistMult,
   /// ConvE). TransE and RotatE use unit-norm residual directions and are
@@ -143,8 +137,8 @@ class LinkPredictionModel {
   ///
   /// Runs under the guardrails configured in TrainConfig (finiteness
   /// checks, divergence rewind + learning-rate backoff). Returns
-  /// `Status::Aborted` when training diverges and recovery is disabled or
-  /// its budget is exhausted; the parameters are then the last finite
+  /// `Status::Aborted` when training diverges and the recovery budget is
+  /// exhausted (or 0); the parameters are then the last finite
   /// state, never NaN/Inf garbage. Not marked [[nodiscard]]: call sites
   /// that train with known-stable configs may ignore the result, and a
   /// diverged model still holds finite parameters.
@@ -279,31 +273,19 @@ class LinkPredictionModel {
 
   /// Serializes every learned parameter (embeddings, shared weights) in a
   /// portable binary format. Hyperparameters are not stored; the model
-  /// must be constructed with matching shapes before LoadParameters.
+  /// must be constructed with matching shapes before LoadParameters. The
+  /// built-in models write their tensor list (EmbeddingModel::AddTensor).
   virtual Status SaveParameters(std::ostream& out) const = 0;
 
   /// Restores parameters written by SaveParameters. Fails with
   /// InvalidArgument on any shape mismatch and IoError on truncated
-  /// streams; the model state is unspecified after a failed load.
+  /// streams. The built-in models check every shape before they replace
+  /// any tensor, so a failed load leaves them unchanged.
   virtual Status LoadParameters(std::istream& in) = 0;
 
  protected:
   explicit LinkPredictionModel(TrainConfig config)
       : config_(std::move(config)) {}
-
-  /// GuardConfig mirror of this model's robustness fields, carrying the
-  /// caller's checkpointing/cancellation control into the guard.
-  GuardConfig MakeGuardConfig(const TrainControl& control = {}) const {
-    GuardConfig guard;
-    guard.epochs = config_.epochs;
-    guard.check_finite = config_.check_finite;
-    guard.recover_on_divergence = config_.recover_on_divergence;
-    guard.max_recoveries = config_.max_recoveries;
-    guard.lr_backoff = config_.lr_backoff;
-    guard.checkpointer = control.checkpointer;
-    guard.cancel = control.cancel;
-    return guard;
-  }
 
   TrainConfig config_;
   TrainReport last_train_report_;

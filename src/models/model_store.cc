@@ -1,5 +1,7 @@
 #include "models/model_store.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/atomic_file.h"
@@ -7,11 +9,6 @@
 #include "common/logging.h"
 #include "common/record_file.h"
 #include "ml/serialization.h"
-#include "models/complex.h"
-#include "models/conve.h"
-#include "models/distmult.h"
-#include "models/rotate.h"
-#include "models/transe.h"
 
 namespace kelpie {
 
@@ -26,6 +23,13 @@ constexpr uint8_t kMetaFrame = 1;
 constexpr uint8_t kParametersFrame = 2;
 constexpr uint8_t kFrameOrder[] = {kMetaFrame, kParametersFrame};
 
+/// Three slots hold guard knobs that are no longer configurable. They are
+/// written with the values every earlier default-config file holds, so
+/// model files and train fingerprints keep their bytes.
+constexpr float kRetiredLrBackoffSlot = 0.5f;
+constexpr uint64_t kRetiredCheckFiniteSlot = 1;
+constexpr uint64_t kRetiredRecoverSlot = 1;
+
 Status WriteConfig(std::ostream& out, const TrainConfig& c) {
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.dim));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.epochs));
@@ -35,14 +39,14 @@ Status WriteConfig(std::ostream& out, const TrainConfig& c) {
       static_cast<float>(c.negatives_per_positive),
       c.conv_lr,        c.label_smoothing, c.input_dropout,
       c.feature_dropout, c.hidden_dropout, c.post_training_lr,
-      c.lr_backoff,     c.grad_clip_norm};
+      kRetiredLrBackoffSlot, c.grad_clip_norm};
   KELPIE_RETURN_IF_ERROR(WriteFloats(out, floats));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.conv_channels));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.conv_kernel));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.reshape_height));
   KELPIE_RETURN_IF_ERROR(WriteU64(out, c.post_training_epochs));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, c.check_finite ? 1 : 0));
-  KELPIE_RETURN_IF_ERROR(WriteU64(out, c.recover_on_divergence ? 1 : 0));
+  KELPIE_RETURN_IF_ERROR(WriteU64(out, kRetiredCheckFiniteSlot));
+  KELPIE_RETURN_IF_ERROR(WriteU64(out, kRetiredRecoverSlot));
   return WriteU64(out, static_cast<uint64_t>(c.max_recoveries));
 }
 
@@ -59,6 +63,15 @@ Status ReadConfig(std::istream& in, TrainConfig& c) {
   if (floats.size() != 12) {
     return Status::InvalidArgument("bad config float block");
   }
+  for (float f : floats) {
+    if (!std::isfinite(f)) {
+      return Status::InvalidArgument("non-finite config value");
+    }
+  }
+  // Cast to int below: outside int's range the cast is undefined.
+  if (std::fabs(floats[3]) >= 2147483648.0f) {
+    return Status::InvalidArgument("negatives per positive out of range");
+  }
   c.learning_rate = floats[0];
   c.regularization = floats[1];
   c.margin = floats[2];
@@ -69,7 +82,6 @@ Status ReadConfig(std::istream& in, TrainConfig& c) {
   c.feature_dropout = floats[7];
   c.hidden_dropout = floats[8];
   c.post_training_lr = floats[9];
-  c.lr_backoff = floats[10];
   c.grad_clip_norm = floats[11];
   KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
   c.conv_channels = v;
@@ -79,34 +91,19 @@ Status ReadConfig(std::istream& in, TrainConfig& c) {
   c.reshape_height = v;
   KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
   c.post_training_epochs = v;
+  uint64_t recover = 0;
+  KELPIE_RETURN_IF_ERROR(ReadU64(in, v));  // retired check-finite slot
+  KELPIE_RETURN_IF_ERROR(ReadU64(in, recover));
   KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
-  c.check_finite = (v != 0);
-  KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
-  c.recover_on_divergence = (v != 0);
-  KELPIE_RETURN_IF_ERROR(ReadU64(in, v));
-  c.max_recoveries = static_cast<int>(v);
+  if (v > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("max recoveries out of range");
+  }
+  // A file written with recovery switched off meant a budget of 0.
+  c.max_recoveries = recover == 0 ? 0 : static_cast<int>(v);
   return Status::Ok();
 }
 
 }  // namespace
-
-std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(
-    ModelKind kind, size_t num_entities, size_t num_relations,
-    const TrainConfig& config) {
-  switch (kind) {
-    case ModelKind::kTransE:
-      return std::make_unique<TransE>(num_entities, num_relations, config);
-    case ModelKind::kComplEx:
-      return std::make_unique<ComplEx>(num_entities, num_relations, config);
-    case ModelKind::kConvE:
-      return std::make_unique<ConvE>(num_entities, num_relations, config);
-    case ModelKind::kDistMult:
-      return std::make_unique<DistMult>(num_entities, num_relations, config);
-    case ModelKind::kRotatE:
-      return std::make_unique<RotatE>(num_entities, num_relations, config);
-  }
-  return nullptr;
-}
 
 Status SaveModel(const LinkPredictionModel& model, ModelKind kind,
                  const std::string& path) {
@@ -175,8 +172,10 @@ Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
   TrainConfig config;
   KELPIE_RETURN_IF_ERROR(ReadConfig(meta, config));
   // A checksum-valid file can still describe shapes the constructors would
-  // abort on; reject those as data errors instead.
-  KELPIE_RETURN_IF_ERROR(ValidateConfig(kind, config));
+  // abort on, or tables too large to allocate; reject those as data errors
+  // instead.
+  KELPIE_RETURN_IF_ERROR(
+      ValidateConfig(kind, config, num_entities, num_relations));
   std::unique_ptr<LinkPredictionModel> model =
       CreateModelWithSizes(kind, num_entities, num_relations, config);
   if (model == nullptr) {

@@ -36,12 +36,6 @@ Result<std::unique_ptr<LinkPredictionModel>> LoadModel(
 Status CheckModelMatchesDataset(const LinkPredictionModel& model,
                                 const Dataset& dataset);
 
-/// Instantiates an untrained model directly from sizes (used by LoadModel
-/// and by callers that do not hold a Dataset).
-std::unique_ptr<LinkPredictionModel> CreateModelWithSizes(
-    ModelKind kind, size_t num_entities, size_t num_relations,
-    const TrainConfig& config);
-
 /// Fingerprint of a training setup: the architecture, every TrainConfig
 /// field (serialized exactly as SaveModel stores it, epochs included), the
 /// dataset shape and train split contents, and the training seed. Two runs

@@ -6,9 +6,7 @@
 #include "math/simd.h"
 #include "math/vec.h"
 #include "ml/batcher.h"
-#include "ml/embedding_table.h"
 #include "ml/negative_sampling.h"
-#include "ml/serialization.h"
 
 namespace kelpie {
 
@@ -20,9 +18,11 @@ constexpr float kDistanceEpsilon = 1e-9f;
 
 RotatE::RotatE(size_t num_entities, size_t num_relations, TrainConfig config)
     : EmbeddingModel(num_entities, std::move(config),
-                     CandidateSweep::Kernel::kSquaredDistance),
+                     CandidateSweep::Kernel::kSquaredDistance,
+                     InitScheme::kUniform, 0.5),
       relation_phases_(num_relations, config_.dim / 2) {
   KELPIE_CHECK(config_.dim % 2 == 0);
+  AddTensor(relation_phases_);
 }
 
 void RotatE::Rotate(std::span<const float> h, RelationId r,
@@ -134,7 +134,7 @@ void NormalizeResidual(std::vector<float>& delta, float norm) {
 Status RotatE::Train(const Dataset& dataset, Rng& rng,
                      const TrainControl& control) {
   const size_t k = rank();
-  InitMatrix(entity_embeddings_, InitScheme::kUniform, 0.5, rng);
+  InitEntityTable(rng);
   // Phases uniform over [-π, π].
   for (size_t r = 0; r < relation_phases_.rows(); ++r) {
     for (float& v : relation_phases_.Row(r)) {
@@ -189,10 +189,6 @@ Status RotatE::Train(const Dataset& dataset, Rng& rng,
   // and TrainConfig::sparse_updates changes nothing (asserted byte-for-byte
   // by the equivalence suite).
   GuardedTrainHooks hooks;
-  hooks.params = [&] {
-    return std::vector<std::span<float>>{entity_embeddings_.Data(),
-                                         relation_phases_.Data()};
-  };
   hooks.run_epoch = [&](size_t /*epoch*/, float lr_scale) -> double {
     lr = config_.learning_rate * lr_scale;  // `apply` captures lr by reference
     double epoch_loss = 0.0;
@@ -238,15 +234,7 @@ Status RotatE::Train(const Dataset& dataset, Rng& rng,
     }
     return epoch_loss;
   };
-
-  hooks.save_rng = [&] { return rng.SaveState(); };
-  hooks.restore_rng = [&](const RngState& state) { rng.LoadState(state); };
-
-  Result<TrainReport> report =
-      RunGuardedEpochs(MakeGuardConfig(control), hooks);
-  if (!report.ok()) return report.status();
-  last_train_report_ = std::move(report.value());
-  return Status::Ok();
+  return RunGuardedTraining(std::move(hooks), rng, control);
 }
 
 std::vector<float> RotatE::PostTrainMimic(const Dataset& dataset,
@@ -256,20 +244,13 @@ std::vector<float> RotatE::PostTrainMimic(const Dataset& dataset,
                                           std::span<const float> warm_init)
     const {
   const size_t k = rank();
-  std::vector<float> mimic(entity_dim());
-  if (warm_init.size() == mimic.size()) {
-    std::copy(warm_init.begin(), warm_init.end(), mimic.begin());
-  } else {
-    InitRow(mimic, InitScheme::kUniform, 0.5, rng);
-  }
+  MimicStart start = StartMimic(warm_init, rng);
+  std::vector<float> mimic = std::move(start.row);
+  const float lr = start.lr;
   if (facts.empty()) return mimic;
 
   NegativeSampler sampler(dataset.train_graph(), /*filtered=*/false);
-  const float lr = config_.post_training_lr > 0 ? config_.post_training_lr
-                                                : config_.learning_rate;
   const float margin = config_.margin;
-  std::vector<size_t> order(facts.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::vector<float> rotated_pos(entity_dim()), rotated_neg(entity_dim());
   std::vector<float> unit_pos, unit_neg;
   std::vector<Triple> negatives;
@@ -300,54 +281,31 @@ std::vector<float> RotatE::PostTrainMimic(const Dataset& dataset,
     }
   };
 
-  for (size_t epoch = 0; epoch < config_.post_training_epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (size_t idx : order) {
-      const Triple& pos = facts[idx];
-      // Batch draw; processing consumes no RNG, so order is unchanged.
-      bool mimic_is_head = (pos.head == entity);
-      sampler.CorruptBatch(pos, /*corrupt_tail=*/mimic_is_head,
-                           static_cast<size_t>(config_.negatives_per_positive),
-                           rng, negatives);
-      for (const Triple& neg : negatives) {
-        Rotate(resolve(pos.head), pos.relation, rotated_pos);
-        float pos_dist = ResidualInto(rotated_pos, resolve(pos.tail), unit_pos);
-        Rotate(resolve(neg.head), neg.relation, rotated_neg);
-        float neg_dist = ResidualInto(rotated_neg, resolve(neg.tail), unit_neg);
-        if (margin + pos_dist - neg_dist <= 0.0f) continue;
-        // The positive's rotation/residual are still valid for its update;
-        // the negative's must be recomputed because apply_mimic(pos) moves
-        // the mimic row, which the negative reads on its uncorrupted side.
-        NormalizeResidual(unit_pos, pos_dist);
-        apply_mimic(pos, +1.0f, unit_pos);
-        Rotate(resolve(neg.head), neg.relation, rotated_neg);
-        float neg_norm = ResidualInto(rotated_neg, resolve(neg.tail), unit_neg);
-        NormalizeResidual(unit_neg, neg_norm);
-        apply_mimic(neg, -1.0f, unit_neg);
-      }
+  ForEachMimicStep(facts.size(), rng, [&](size_t idx) {
+    const Triple& pos = facts[idx];
+    // Batch draw; processing consumes no RNG, so order is unchanged.
+    bool mimic_is_head = (pos.head == entity);
+    sampler.CorruptBatch(pos, /*corrupt_tail=*/mimic_is_head,
+                         static_cast<size_t>(config_.negatives_per_positive),
+                         rng, negatives);
+    for (const Triple& neg : negatives) {
+      Rotate(resolve(pos.head), pos.relation, rotated_pos);
+      float pos_dist = ResidualInto(rotated_pos, resolve(pos.tail), unit_pos);
+      Rotate(resolve(neg.head), neg.relation, rotated_neg);
+      float neg_dist = ResidualInto(rotated_neg, resolve(neg.tail), unit_neg);
+      if (margin + pos_dist - neg_dist <= 0.0f) continue;
+      // The positive's rotation/residual are still valid for its update;
+      // the negative's must be recomputed because apply_mimic(pos) moves
+      // the mimic row, which the negative reads on its uncorrupted side.
+      NormalizeResidual(unit_pos, pos_dist);
+      apply_mimic(pos, +1.0f, unit_pos);
+      Rotate(resolve(neg.head), neg.relation, rotated_neg);
+      float neg_norm = ResidualInto(rotated_neg, resolve(neg.tail), unit_neg);
+      NormalizeResidual(unit_neg, neg_norm);
+      apply_mimic(neg, -1.0f, unit_neg);
     }
-  }
+  });
   return mimic;
-}
-
-Status RotatE::SaveParameters(std::ostream& out) const {
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, entity_embeddings_));
-  return WriteMatrix(out, relation_phases_);
-}
-
-Status RotatE::LoadParameters(std::istream& in) {
-  Matrix entities, phases;
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, entities));
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, phases));
-  if (entities.rows() != entity_embeddings_.rows() ||
-      entities.cols() != entity_embeddings_.cols() ||
-      phases.rows() != relation_phases_.rows() ||
-      phases.cols() != relation_phases_.cols()) {
-    return Status::InvalidArgument("RotatE parameter shape mismatch");
-  }
-  entity_embeddings_ = std::move(entities);
-  relation_phases_ = std::move(phases);
-  return Status::Ok();
 }
 
 }  // namespace kelpie

@@ -44,8 +44,6 @@ class RotatE final : public EmbeddingModel {
                                     Rng& rng,
                                     std::span<const float> warm_init)
       const override;
-  Status SaveParameters(std::ostream& out) const override;
-  Status LoadParameters(std::istream& in) override;
 
  protected:
   void TailComposite(std::span<const float> head, RelationId r,

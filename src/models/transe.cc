@@ -6,9 +6,7 @@
 #include "math/simd.h"
 #include "math/vec.h"
 #include "ml/batcher.h"
-#include "ml/embedding_table.h"
 #include "ml/negative_sampling.h"
-#include "ml/serialization.h"
 
 namespace kelpie {
 
@@ -16,12 +14,20 @@ namespace {
 
 constexpr float kDistanceEpsilon = 1e-9f;
 
+/// Bound of the uniform init of entities and relations (Bordes et al.).
+double InitBound(size_t dim) {
+  return 6.0 / std::sqrt(static_cast<double>(dim));
+}
+
 }  // namespace
 
 TransE::TransE(size_t num_entities, size_t num_relations, TrainConfig config)
-    : EmbeddingModel(num_entities, std::move(config),
-                     CandidateSweep::Kernel::kSquaredDistance),
-      relation_embeddings_(num_relations, config_.dim) {}
+    : EmbeddingModel(num_entities, config,
+                     CandidateSweep::Kernel::kSquaredDistance,
+                     InitScheme::kUniform, InitBound(config.dim)),
+      relation_embeddings_(num_relations, config_.dim) {
+  AddTensor(relation_embeddings_);
+}
 
 void TransE::TailComposite(std::span<const float> head, RelationId r,
                            std::span<float> out) const {
@@ -105,9 +111,9 @@ void NormalizeResidual(std::vector<float>& delta, float norm) {
 
 Status TransE::Train(const Dataset& dataset, Rng& rng,
                      const TrainControl& control) {
-  const double init_bound = 6.0 / std::sqrt(static_cast<double>(config_.dim));
-  InitMatrix(entity_embeddings_, InitScheme::kUniform, init_bound, rng);
-  InitMatrix(relation_embeddings_, InitScheme::kUniform, init_bound, rng);
+  InitEntityTable(rng);
+  InitMatrix(relation_embeddings_, InitScheme::kUniform, InitBound(config_.dim),
+             rng);
   for (size_t r = 0; r < relation_embeddings_.rows(); ++r) {
     ProjectToL2Ball(relation_embeddings_.Row(r), 1.0f);
   }
@@ -124,10 +130,6 @@ Status TransE::Train(const Dataset& dataset, Rng& rng,
   // sparse path and TrainConfig::sparse_updates is a (documented) no-op —
   // the byte-identity suite still covers it alongside the stateful models.
   GuardedTrainHooks hooks;
-  hooks.params = [&] {
-    return std::vector<std::span<float>>{entity_embeddings_.Data(),
-                                         relation_embeddings_.Data()};
-  };
   hooks.run_epoch = [&](size_t /*epoch*/, float lr_scale) -> double {
     const float lr = config_.learning_rate * lr_scale;
     double epoch_loss = 0.0;
@@ -184,15 +186,7 @@ Status TransE::Train(const Dataset& dataset, Rng& rng,
     }
     return epoch_loss;
   };
-
-  hooks.save_rng = [&] { return rng.SaveState(); };
-  hooks.restore_rng = [&](const RngState& state) { rng.LoadState(state); };
-
-  Result<TrainReport> report =
-      RunGuardedEpochs(MakeGuardConfig(control), hooks);
-  if (!report.ok()) return report.status();
-  last_train_report_ = std::move(report.value());
-  return Status::Ok();
+  return RunGuardedTraining(std::move(hooks), rng, control);
 }
 
 std::vector<float> TransE::PostTrainMimic(const Dataset& dataset,
@@ -201,84 +195,49 @@ std::vector<float> TransE::PostTrainMimic(const Dataset& dataset,
                                           Rng& rng,
                                           std::span<const float> warm_init)
     const {
-  std::vector<float> mimic(entity_dim());
-  if (warm_init.size() == mimic.size()) {
-    std::copy(warm_init.begin(), warm_init.end(), mimic.begin());
-  } else {
-    const double init_bound =
-        6.0 / std::sqrt(static_cast<double>(config_.dim));
-    InitRow(mimic, InitScheme::kUniform, init_bound, rng);
-  }
+  MimicStart start = StartMimic(warm_init, rng);
+  std::vector<float> mimic = std::move(start.row);
+  const float lr = start.lr;
   ProjectToL2Ball(mimic, 1.0f);
   if (facts.empty()) return mimic;
 
   NegativeSampler sampler(dataset.train_graph(), /*filtered=*/false);
-  const float lr =
-      config_.post_training_lr > 0 ? config_.post_training_lr
-                                   : config_.learning_rate;
   const float margin = config_.margin;
-  std::vector<size_t> order(facts.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
   std::vector<Triple> negatives;
   std::vector<float> pos_dir, neg_dir;
-  for (size_t epoch = 0; epoch < config_.post_training_epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (size_t idx : order) {
-      const Triple& pos = facts[idx];
-      // Corrupt the side NOT held by the mimic so the mimic embedding
-      // receives gradient from both the positive and the negative term.
-      // The whole batch is drawn up front; the updates below consume no
-      // RNG, so the draw order (and hence the result) is unchanged.
-      bool mimic_is_head = (pos.head == entity);
-      sampler.CorruptBatch(pos, /*corrupt_tail=*/mimic_is_head,
-                           static_cast<size_t>(config_.negatives_per_positive),
-                           rng, negatives);
-      for (const Triple& neg : negatives) {
-        auto resolve = [&](EntityId e) -> std::span<const float> {
-          return e == entity
-                     ? std::span<const float>(mimic)
-                     : entity_embeddings_.Row(static_cast<size_t>(e));
-        };
-        std::span<const float> rel =
-            relation_embeddings_.Row(static_cast<size_t>(pos.relation));
-        float pos_dist =
-            ResidualInto(resolve(pos.head), rel, resolve(pos.tail), pos_dir);
-        float neg_dist =
-            ResidualInto(resolve(neg.head), rel, resolve(neg.tail), neg_dir);
-        if (margin + pos_dist - neg_dist <= 0.0f) continue;
-        NormalizeResidual(pos_dir, pos_dist);
-        NormalizeResidual(neg_dir, neg_dist);
-        // Only the mimic row moves; frozen parameters get no updates.
-        if (pos.head == entity) Axpy(-lr, pos_dir, std::span<float>(mimic));
-        if (pos.tail == entity) Axpy(+lr, pos_dir, std::span<float>(mimic));
-        if (neg.head == entity) Axpy(+lr, neg_dir, std::span<float>(mimic));
-        if (neg.tail == entity) Axpy(-lr, neg_dir, std::span<float>(mimic));
-      }
-      ProjectToL2Ball(mimic, 1.0f);
+  auto resolve = [&](EntityId e) -> std::span<const float> {
+    return e == entity ? std::span<const float>(mimic)
+                       : entity_embeddings_.Row(static_cast<size_t>(e));
+  };
+  ForEachMimicStep(facts.size(), rng, [&](size_t idx) {
+    const Triple& pos = facts[idx];
+    // Corrupt the side NOT held by the mimic so the mimic embedding
+    // receives gradient from both the positive and the negative term.
+    // The whole batch is drawn up front; the updates below consume no
+    // RNG, so the draw order (and hence the result) is unchanged.
+    bool mimic_is_head = (pos.head == entity);
+    sampler.CorruptBatch(pos, /*corrupt_tail=*/mimic_is_head,
+                         static_cast<size_t>(config_.negatives_per_positive),
+                         rng, negatives);
+    for (const Triple& neg : negatives) {
+      std::span<const float> rel =
+          relation_embeddings_.Row(static_cast<size_t>(pos.relation));
+      float pos_dist =
+          ResidualInto(resolve(pos.head), rel, resolve(pos.tail), pos_dir);
+      float neg_dist =
+          ResidualInto(resolve(neg.head), rel, resolve(neg.tail), neg_dir);
+      if (margin + pos_dist - neg_dist <= 0.0f) continue;
+      NormalizeResidual(pos_dir, pos_dist);
+      NormalizeResidual(neg_dir, neg_dist);
+      // Only the mimic row moves; frozen parameters get no updates.
+      if (pos.head == entity) Axpy(-lr, pos_dir, std::span<float>(mimic));
+      if (pos.tail == entity) Axpy(+lr, pos_dir, std::span<float>(mimic));
+      if (neg.head == entity) Axpy(+lr, neg_dir, std::span<float>(mimic));
+      if (neg.tail == entity) Axpy(-lr, neg_dir, std::span<float>(mimic));
     }
-  }
+    ProjectToL2Ball(mimic, 1.0f);
+  });
   return mimic;
-}
-
-Status TransE::SaveParameters(std::ostream& out) const {
-  KELPIE_RETURN_IF_ERROR(WriteMatrix(out, entity_embeddings_));
-  return WriteMatrix(out, relation_embeddings_);
-}
-
-Status TransE::LoadParameters(std::istream& in) {
-  Matrix entities, relations;
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, entities));
-  KELPIE_RETURN_IF_ERROR(ReadMatrix(in, relations));
-  if (entities.rows() != entity_embeddings_.rows() ||
-      entities.cols() != entity_embeddings_.cols() ||
-      relations.rows() != relation_embeddings_.rows() ||
-      relations.cols() != relation_embeddings_.cols()) {
-    return Status::InvalidArgument("TransE parameter shape mismatch");
-  }
-  entity_embeddings_ = std::move(entities);
-  relation_embeddings_ = std::move(relations);
-  return Status::Ok();
 }
 
 }  // namespace kelpie

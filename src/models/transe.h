@@ -32,8 +32,6 @@ class TransE final : public EmbeddingModel {
                                     Rng& rng,
                                     std::span<const float> warm_init)
       const override;
-  Status SaveParameters(std::ostream& out) const override;
-  Status LoadParameters(std::istream& in) override;
 
  protected:
   /// h + r; candidate tails are scored by their distance to it.

@@ -43,11 +43,26 @@ expect_reject --sparse generate --sparse --out "$WORK/sparse"
 # A command with an operand parses its flags after the operand.
 expect_reject --bogus cache stats --file "$WORK/missing.kelprc" --bogus 1
 
+# Recovery is switched off with --max-recoveries 0; train declares no
+# --no-recover.
+expect_reject --no-recover train --data "$WORK/missing" --out "$WORK/m.bin" \
+  --no-recover
+
 if ! "$KELPIE" generate --scale 0.4 --out "$WORK/valid" > "$WORK/stdout" \
     2> "$WORK/stderr"; then
   fail "valid generate failed: $(cat "$WORK/stderr")"
 elif [ ! -s "$WORK/valid/train.txt" ]; then
   fail "valid generate wrote no train.txt"
+fi
+
+# An entity table too large to allocate is an error message, not an abort.
+"$KELPIE" train --data "$WORK/valid" --model TransE --dim 1000000000 \
+  --out "$WORK/huge.bin" > "$WORK/stdout" 2> "$WORK/stderr"
+code=$?
+if [ "$code" -ne 1 ]; then
+  fail "train --dim 1000000000 exited $code, want 1"
+elif ! grep -qF "exceed the matrix limits" "$WORK/stderr"; then
+  fail "train --dim 1000000000 did not name the limit: $(cat "$WORK/stderr")"
 fi
 
 [ "$FAILED" -eq 0 ] && echo "cli_flags_test: ok"

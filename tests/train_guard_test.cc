@@ -23,16 +23,18 @@ struct ToyTrainer {
   std::vector<float> state{0.0f, 0.0f};
   uint64_t counter = 0;
 
+  double run_epoch(size_t /*epoch*/, float lr_scale) {
+    state[0] += lr_scale;
+    state[1] += 1.0f;
+    ++counter;
+    return static_cast<double>(state[0]);
+  }
+
   GuardedTrainHooks Hooks() {
     GuardedTrainHooks hooks;
-    hooks.params = [this] {
-      return std::vector<std::span<float>>{std::span<float>(state)};
-    };
-    hooks.run_epoch = [this](size_t, float lr_scale) {
-      state[0] += lr_scale;
-      state[1] += 1.0f;
-      ++counter;
-      return static_cast<double>(state[0]);
+    hooks.params = {std::span<float>(state)};
+    hooks.run_epoch = [this](size_t epoch, float lr_scale) {
+      return run_epoch(epoch, lr_scale);
     };
     hooks.save_counters = [this] { return std::vector<uint64_t>{counter}; };
     hooks.restore_counters = [this](const std::vector<uint64_t>& c) {
@@ -104,13 +106,13 @@ TEST_F(TrainGuardTest, RecoveryDisabledAbortsAndRewinds) {
   ToyTrainer trainer;
   GuardConfig config;
   config.epochs = 4;
-  config.recover_on_divergence = false;
+  config.max_recoveries = 0;
   failpoint::Arm("train.diverge", /*match=*/2, /*times=*/1);
 
   Result<TrainReport> report = RunGuardedEpochs(config, trainer.Hooks());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kAborted);
-  EXPECT_NE(report.status().message().find("recovery disabled"),
+  EXPECT_NE(report.status().message().find("after 0 recovery attempts"),
             std::string::npos);
   // Parameters rewound to the last committed state (end of epoch 1).
   EXPECT_FLOAT_EQ(trainer.state[0], 2.0f);
@@ -134,20 +136,6 @@ TEST_F(TrainGuardTest, BudgetExhaustionAborts) {
   // Left at the end-of-epoch-0 snapshot, finite.
   EXPECT_FLOAT_EQ(trainer.state[1], 1.0f);
   EXPECT_TRUE(std::isfinite(trainer.state[0]));
-}
-
-TEST_F(TrainGuardTest, ChecksOffSkipGuardrails) {
-  ToyTrainer trainer;
-  GuardConfig config;
-  config.epochs = 3;
-  config.check_finite = false;
-  // Armed, but the unguarded loop never reaches the failpoint.
-  failpoint::Arm("train.diverge", failpoint::kAnyValue, failpoint::kForever);
-
-  Result<TrainReport> report = RunGuardedEpochs(config, trainer.Hooks());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->epochs_run, 3u);
-  EXPECT_EQ(failpoint::FireCount("train.diverge"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,7 +172,7 @@ TEST_P(GuardedModelTest, InjectedNanRecoversAndFinishesFinite) {
 
 TEST_P(GuardedModelTest, RecoveryDisabledReturnsAborted) {
   TrainConfig config = testing_util::FastConfig(GetParam());
-  config.recover_on_divergence = false;
+  config.max_recoveries = 0;
   auto model = CreateModel(GetParam(), *dataset_, config);
   failpoint::Arm("train.diverge", /*match=*/1, /*times=*/1);
   Rng rng(11);
@@ -208,22 +196,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(TrainGuardTest, GuardedTrainingIsBitwiseIdenticalToUnguarded) {
   // The guardrails multiply by lr_scale == 1.0 and only *read* parameters
-  // on the happy path, so seeded training must stay bitwise reproducible.
-  Dataset dataset = testing_util::MakeToyDataset();
-  TrainConfig config = testing_util::FastConfig(ModelKind::kComplEx);
-  auto guarded = CreateModel(ModelKind::kComplEx, dataset, config);
-  Rng rng1(42);
-  ASSERT_TRUE(guarded->Train(dataset, rng1).ok());
+  // on the happy path, so a guarded run must equal a plain epoch loop bit
+  // for bit.
+  ToyTrainer guarded;
+  GuardConfig config;
+  config.epochs = 6;
+  Result<TrainReport> report = RunGuardedEpochs(config, guarded.Hooks());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  TrainConfig unguarded_config = config;
-  unguarded_config.check_finite = false;
-  auto unguarded = CreateModel(ModelKind::kComplEx, dataset, unguarded_config);
-  Rng rng2(42);
-  ASSERT_TRUE(unguarded->Train(dataset, rng2).ok());
+  ToyTrainer plain;
+  for (size_t e = 0; e < config.epochs; ++e) plain.run_epoch(e, 1.0f);
 
-  for (const Triple& t : dataset.test()) {
-    EXPECT_EQ(guarded->Score(t), unguarded->Score(t));
-  }
+  EXPECT_EQ(guarded.state, plain.state);
+  EXPECT_EQ(guarded.counter, plain.counter);
 }
 
 TEST_F(TrainGuardTest, GradientClippingTrainsUsably) {

@@ -111,7 +111,7 @@ const std::vector<Verb>& Verbs() {
       {"train", "",
        {{"data", "DIR", true}, {"model", "NAME"}, {"seed", "N"},
         {"out", "FILE", true}, {"epochs", "N"}, {"dim", "N"},
-        {"grad-clip", "X"}, {"no-recover", nullptr}, {"max-recoveries", "N"},
+        {"grad-clip", "X"}, {"max-recoveries", "N"},
         {"checkpoint", "DIR"}, {"checkpoint-interval", "N"},
         {"resume", nullptr}, {"sparse", nullptr}}},
       {"evaluate", "",
@@ -434,12 +434,13 @@ Status CmdTrain(const Args& args) {
       args.GetU64("max-recoveries",
                   static_cast<uint64_t>(config.max_recoveries)));
   config.max_recoveries = static_cast<int>(max_recoveries);
-  if (args.Has("no-recover")) config.recover_on_divergence = false;
   // Route embedding gradients through the touched-row sparse optimizers.
   // Byte-identical to the dense path by construction, so the flag only
   // changes memory behavior, never the saved model.
   if (args.Has("sparse")) config.sparse_updates = true;
-  KELPIE_RETURN_IF_ERROR(ValidateConfig(kind.value(), config));
+  KELPIE_RETURN_IF_ERROR(ValidateConfig(kind.value(), config,
+                                        dataset->num_entities(),
+                                        dataset->num_relations()));
 
   auto model = CreateModel(kind.value(), *dataset, config);
   uint64_t seed = 0;
